@@ -39,8 +39,7 @@ use strom_nic::cluster_incast::run_incast;
 use strom_nic::cluster_shuffle::run_shuffle;
 use strom_nic::kv_serve::run_kv_serve;
 use strom_nic::{
-    chaos_model, run_crcverify_shuffle, run_filter_agg_hll, run_pdes_cluster,
-    run_pdes_cluster_reference, NicConfig, PdesClusterParams, Testbed, WorkRequest,
+    chaos_model, run_crcverify_shuffle, run_filter_agg_hll, NicConfig, Testbed, WorkRequest,
 };
 use strom_sim::{parallel_map, EventQueue, ReferenceEventQueue, SimRng};
 use strom_telemetry::{Histogram, TraceEvent, TraceSink};
@@ -733,77 +732,6 @@ fn main() {
         );
     }
 
-    println!("== conservative-window PDES cluster (N = 8) ==");
-    let pdes_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    // A longer (cross-rack scale) cable than the testbed default: the
-    // lookahead *is* the window length, so a 1 us cable batches tens of
-    // events per window and the barrier cost amortizes — the geometry a
-    // parallel run actually targets.
-    let pdes_params = PdesClusterParams {
-        requests_per_node: if quick { 150 } else { 600 },
-        propagation: 1_000 * strom_sim::time::NANOS,
-        // Jumbo-leaning payloads: the ICRC + serializer math *is* the
-        // measured per-event CPU work, and it must dominate the engine's
-        // own bookkeeping for core-scaling to mean anything.
-        payload: (1024, 4096),
-        ..Default::default()
-    };
-    let t = Instant::now();
-    let pdes_seq = run_pdes_cluster_reference(&pdes_params);
-    let pdes_seq_eps = pdes_seq.pdes.events as f64 / t.elapsed().as_secs_f64();
-    println!(
-        "{:<40} {:>9.2} M ev/s ({} events)",
-        "pdes_sequential_reference",
-        pdes_seq_eps / 1e6,
-        pdes_seq.pdes.events,
-    );
-    // The windowed engine at 1/2/4/8 workers. Every run — whatever the
-    // worker count or the host's core budget — must reproduce the
-    // sequential reference bit for bit; that equivalence is asserted
-    // unconditionally. Speedup is *recorded* at every width but only
-    // *gated* when the host actually has the cores to deliver it.
-    let pdes_widths: [usize; 4] = [1, 2, 4, 8];
-    let mut pdes_eps = Vec::new();
-    for &w in &pdes_widths {
-        let t = Instant::now();
-        let got = run_pdes_cluster(&pdes_params, w);
-        let eps = got.pdes.events as f64 / t.elapsed().as_secs_f64();
-        assert_eq!(
-            got.digest, pdes_seq.digest,
-            "PDES with {w} workers diverged from the sequential reference"
-        );
-        assert_eq!(got.total, pdes_seq.total, "PDES c{w} counters diverged");
-        assert_eq!(got.rtt_sum, pdes_seq.rtt_sum, "PDES c{w} RTTs diverged");
-        println!(
-            "{:<40} {:>9.2} M ev/s ({:.2}x, {} windows)",
-            format!("pdes_windowed_c{w}"),
-            eps / 1e6,
-            eps / pdes_seq_eps,
-            got.pdes.windows,
-        );
-        pdes_eps.push(eps);
-    }
-    let pdes_parallel_eps = pdes_eps.iter().copied().fold(0.0f64, f64::max);
-    let pdes_speedup = pdes_parallel_eps / pdes_seq_eps;
-    println!(
-        "pdes: {} cores available, best {:.2} M ev/s ({pdes_speedup:.2}x over sequential)",
-        pdes_cores,
-        pdes_parallel_eps / 1e6
-    );
-    // Core-conditional speedup gates (bit-identity was asserted above
-    // regardless): a 1-core host can only certify correctness.
-    if pdes_cores >= 4 {
-        assert!(
-            pdes_speedup >= 2.0,
-            "PDES speedup below 2x on a {pdes_cores}-core host: {pdes_speedup:.2}x"
-        );
-    } else if pdes_cores >= 2 {
-        assert!(
-            pdes_speedup >= 1.0,
-            "PDES slower than sequential on a {pdes_cores}-core host: {pdes_speedup:.2}x"
-        );
-    }
-
     let icrc_speedup = icrc_ref.ns_per_iter / icrc_s8.ns_per_iter;
     let crc64_speedup = crc64_ref.ns_per_iter / crc64_s8.ns_per_iter;
     let soak_speedup = soak_seq_ms / soak_par_ms;
@@ -883,12 +811,6 @@ fn main() {
   "sim_events_per_sec_wheel": {sim_wheel:.0},
   "sim_events_per_sec_heap": {sim_heap:.0},
   "sim_engine_speedup": {sim_speedup:.3},
-  "pdes_cores_available": {pdes_cores},
-  "sim_events_per_sec_sequential": {pdes_seq_eps:.0},
-  "sim_events_per_sec_parallel": {pdes_parallel_eps:.0},
-  "pdes_speedup_n8_c2": {pdes_c2:.3},
-  "pdes_speedup_n8_c4": {pdes_c4:.3},
-  "pdes_speedup_n8_c8": {pdes_c8:.3},
   "soak_seeds": {soak_seeds},
   "soak_sequential_ms": {soak_seq_ms:.1},
   "soak_parallel_ms": {soak_par_ms:.1},
@@ -973,9 +895,6 @@ fn main() {
         k_scan_sg = k_scan_s.gib_per_sec(crc),
         chain_fah_g = chain_fah.gib_per_sec,
         chain_cvs_g = chain_cvs.gib_per_sec,
-        pdes_c2 = pdes_eps[1] / pdes_seq_eps,
-        pdes_c4 = pdes_eps[2] / pdes_seq_eps,
-        pdes_c8 = pdes_eps[3] / pdes_seq_eps,
         cc_off_drops = cc_off.tail_drops,
         cc_off_retx = cc_off.retransmissions,
         cc_on_drops = cc_on.tail_drops,

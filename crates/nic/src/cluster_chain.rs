@@ -26,6 +26,7 @@ use strom_kernels::{AggregateParams, FilterParams};
 use strom_proto::{CompletionStatus, WorkRequest};
 use strom_sim::time::TimeDelta;
 use strom_sim::SimRng;
+use strom_telemetry::fnv::{fnv1a, FNV_OFFSET};
 use strom_wire::opcode::RpcOpCode;
 
 use crate::config::Platform;
@@ -39,16 +40,18 @@ const QP: u32 = 1;
 /// Event budget for the post-completion quiesce.
 const EVENT_BUDGET: u64 = 200_000_000;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// Bytes each chain runner pins on each node.
+const REGION_BYTES: u64 = 8 << 20;
 
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+/// Offset of the tuple stream (client) and of the shuffle partitions
+/// (server) within a region; the first 4 KiB hold the result records
+/// and the shuffle histogram.
+const DATA_OFFSET: u64 = 4096;
+
+/// Most 8 B tuples either chain runner accepts: the stream plus the
+/// CRC-verify stage's 8 B CRC-64 trailer must fit in the pinned region
+/// past [`DATA_OFFSET`]. `ScenarioSpec::validate` rejects larger specs.
+pub const MAX_CHAIN_TUPLES: usize = ((REGION_BYTES - DATA_OFFSET - 8) / 8) as usize;
 
 /// Everything that determines one chain run.
 #[derive(Debug, Clone)]
@@ -104,6 +107,11 @@ pub struct ChainRun {
 }
 
 fn testbed(spec: &ChainSpec) -> ClusterTestbed {
+    assert!(
+        spec.tuples <= MAX_CHAIN_TUPLES,
+        "{} tuples exceed the {MAX_CHAIN_TUPLES}-tuple chain region",
+        spec.tuples
+    );
     let mut cfg = spec.platform.config();
     cfg.seed = spec.seed;
     cfg.fault = spec.fault;
@@ -147,14 +155,14 @@ fn finish(
 /// mismatch.
 pub fn run_filter_agg_hll(spec: &ChainSpec) -> ChainRun {
     let mut tb = testbed(spec);
-    let client = tb.pin(CLIENT, 8 << 20);
-    let server = tb.pin(SERVER, 8 << 20);
+    let client = tb.pin(CLIENT, REGION_BYTES);
+    let server = tb.pin(SERVER, REGION_BYTES);
     tb.bring_up();
 
     let filter_target = client;
     let agg_target = client + 64;
     let hll_target = client + 128;
-    let src = client + 4096;
+    let src = client + DATA_OFFSET;
 
     tb.deploy_kernel(SERVER, Box::new(filter_agg_hll()));
     let operand = 5_000u64;
@@ -266,9 +274,9 @@ pub fn run_filter_agg_hll(spec: &ChainSpec) -> ChainRun {
         spec.seed
     );
 
-    let mut fp = fnv_fold(FNV_OFFSET, &fs);
-    fp = fnv_fold(fp, &ag);
-    fp = fnv_fold(fp, &hs);
+    let mut fp = fnv1a(FNV_OFFSET, &fs);
+    fp = fnv1a(fp, &ag);
+    fp = fnv1a(fp, &hs);
     finish(&tb, data.len() as u64, elapsed_ps, fp, None)
 }
 
@@ -284,12 +292,12 @@ pub fn run_crcverify_shuffle(spec: &ChainSpec) -> ChainRun {
         "partition count must be a power of two"
     );
     let mut tb = testbed(spec);
-    let client = tb.pin(CLIENT, 8 << 20);
-    let server = tb.pin(SERVER, 8 << 20);
+    let client = tb.pin(CLIENT, REGION_BYTES);
+    let server = tb.pin(SERVER, REGION_BYTES);
     tb.bring_up();
 
     let verdict_target = client;
-    let src = client + 4096;
+    let src = client + DATA_OFFSET;
     let hist_addr = server;
 
     // Host reference split, sized exactly.
@@ -300,7 +308,7 @@ pub fn run_crcverify_shuffle(spec: &ChainSpec) -> ChainRun {
         split[radix_partition(v, bits)].push(v);
     }
     let mut regions: Vec<(u64, u32)> = Vec::with_capacity(split.len());
-    let mut cursor = server + 4096;
+    let mut cursor = server + DATA_OFFSET;
     for part in &split {
         regions.push((cursor, (part.len() * 8) as u32));
         cursor += (part.len() * 8) as u64;
@@ -374,7 +382,7 @@ pub fn run_crcverify_shuffle(spec: &ChainSpec) -> ChainRun {
             spec.seed
         );
         assert!(chain_failed, "seed {}: chain must latch failure", spec.seed);
-        fp = fnv_fold(fp, &v);
+        fp = fnv1a(fp, &v);
     } else {
         let v = tb.mem(CLIENT).read(verdict_target, 16);
         let (crc, len) = CrcVerifyKernel::decode_verdict(&v).expect("verdict");
@@ -390,7 +398,7 @@ pub fn run_crcverify_shuffle(spec: &ChainSpec) -> ChainRun {
             spec.seed
         );
         error_code = None;
-        fp = fnv_fold(fp, &v);
+        fp = fnv1a(fp, &v);
         for (pid, &(addr, cap)) in regions.iter().enumerate() {
             let want: Vec<u8> = split[pid].iter().flat_map(|v| v.to_le_bytes()).collect();
             let got = tb.mem(SERVER).read(addr, cap as usize);
@@ -399,7 +407,7 @@ pub fn run_crcverify_shuffle(spec: &ChainSpec) -> ChainRun {
                 "seed {}: partition {pid} content mismatch",
                 spec.seed
             );
-            fp = fnv_fold(fp, &got);
+            fp = fnv1a(fp, &got);
         }
     }
     finish(&tb, payload.len() as u64, elapsed_ps, fp, error_code)
@@ -433,6 +441,16 @@ mod tests {
             run.error_code,
             Some(strom_kernels::framework::ERR_INCONSISTENT)
         );
+    }
+
+    #[test]
+    fn both_chains_run_at_the_tuple_limit() {
+        let spec = ChainSpec::new(MAX_CHAIN_TUPLES, 0x11A1);
+        let bytes = MAX_CHAIN_TUPLES as u64 * 8;
+        assert_eq!(run_filter_agg_hll(&spec).payload_bytes, bytes);
+        let run = run_crcverify_shuffle(&spec);
+        assert_eq!(run.payload_bytes, bytes);
+        assert_eq!(run.error_code, None);
     }
 
     #[test]

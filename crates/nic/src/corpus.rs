@@ -28,9 +28,12 @@ use std::path::{Path, PathBuf};
 
 use strom_sim::time::{MICROS, NANOS};
 use strom_sim::EcnConfig;
+use strom_telemetry::fnv::{fnv1a_u64, FNV_OFFSET};
 
 use crate::chaos::{run_chaos, ChaosSpec};
-use crate::cluster_chain::{run_crcverify_shuffle, run_filter_agg_hll, ChainSpec};
+use crate::cluster_chain::{
+    run_crcverify_shuffle, run_filter_agg_hll, ChainSpec, MAX_CHAIN_TUPLES,
+};
 use crate::cluster_incast::{run_incast, IncastSpec};
 use crate::cluster_shuffle::{run_shuffle, ShuffleSpec};
 use crate::config::Platform;
@@ -40,17 +43,6 @@ use crate::kv_serve::{run_kv_serve, KvSpec};
 mod json;
 
 pub use json::Value as JsonValue;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv_fold(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Which chained kernel pipeline a [`Workload::KernelChain`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -313,8 +305,10 @@ impl ScenarioSpec {
                 }
             }
             Workload::KernelChain { chain: _, tuples } => {
-                if !(1..=1 << 22).contains(&tuples) {
-                    return Err(SpecError::InvalidShape("chain tuples must be in 1..=2^22"));
+                if !(1..=MAX_CHAIN_TUPLES).contains(&tuples) {
+                    return Err(SpecError::InvalidShape(
+                        "chain tuples must be in 1..=MAX_CHAIN_TUPLES",
+                    ));
                 }
             }
         }
@@ -390,7 +384,7 @@ impl ScenarioSpec {
                     out.tail_drops,
                     out.retransmissions,
                 ] {
-                    fp = fnv_fold(fp, word);
+                    fp = fnv1a_u64(fp, word);
                 }
                 ScenarioOutcome {
                     fingerprint: fp,
@@ -438,10 +432,10 @@ impl ScenarioSpec {
                     out.retransmissions,
                     out.qp_errors as u64,
                 ] {
-                    fp = fnv_fold(fp, word);
+                    fp = fnv1a_u64(fp, word);
                 }
                 for &b in &out.per_sender_bytes {
-                    fp = fnv_fold(fp, b);
+                    fp = fnv1a_u64(fp, b);
                 }
                 ScenarioOutcome {
                     fingerprint: fp,
@@ -480,7 +474,7 @@ impl ScenarioSpec {
                     out.retransmissions,
                     violations,
                 ] {
-                    fp = fnv_fold(fp, word);
+                    fp = fnv1a_u64(fp, word);
                 }
                 ScenarioOutcome {
                     fingerprint: fp,
@@ -508,7 +502,7 @@ impl ScenarioSpec {
                     u64::from(out.error_code.unwrap_or(0)),
                     out.retransmissions,
                 ] {
-                    fp = fnv_fold(fp, word);
+                    fp = fnv1a_u64(fp, word);
                 }
                 ScenarioOutcome {
                     fingerprint: fp,
@@ -1032,8 +1026,8 @@ pub fn run_corpus_cases(cases: &[CorpusCase], scale: CorpusScale) -> CorpusRepor
         let mut first: Option<ScenarioOutcome> = None;
         for &seed in &seeds {
             let out = case.spec.run_seeded(seed);
-            fp = fnv_fold(fp, seed);
-            fp = fnv_fold(fp, out.fingerprint);
+            fp = fnv1a_u64(fp, seed);
+            fp = fnv1a_u64(fp, out.fingerprint);
             if first.is_none() {
                 first = Some(out);
             }
@@ -1395,6 +1389,24 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), corpus.len());
+    }
+
+    #[test]
+    fn chain_tuples_past_the_region_are_rejected_not_run() {
+        for chain in [ChainKind::FilterAggHll, ChainKind::CrcVerifyShuffle] {
+            let mut spec = tiny_spec();
+            spec.workload = Workload::KernelChain {
+                chain,
+                tuples: MAX_CHAIN_TUPLES,
+            };
+            assert_eq!(spec.validate(), Ok(()));
+            spec.workload = Workload::KernelChain {
+                chain,
+                tuples: MAX_CHAIN_TUPLES + 1,
+            };
+            assert!(matches!(spec.validate(), Err(SpecError::InvalidShape(_))));
+            assert!(matches!(spec.run(), Err(SpecError::InvalidShape(_))));
+        }
     }
 
     #[test]

@@ -91,28 +91,6 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// The partition that would own this event under the PDES split of
-    /// the cluster: per-node events belong to their node, switch
-    /// arbitration to the switch partition (`switch` is the partition id
-    /// the caller assigns it — conventionally the node count).
-    ///
-    /// This is the ownership tag the lookahead audit uses to classify a
-    /// scheduled event as partition-local or cross-partition.
-    pub fn owner(&self, switch: usize) -> usize {
-        match self {
-            Event::CmdArrive { node, .. }
-            | Event::FrameArrive { node, .. }
-            | Event::DmaWriteDone { node, .. }
-            | Event::KernelDmaReadDone { node, .. }
-            | Event::RetransmitCheck { node }
-            | Event::PacerTick { node, .. }
-            | Event::ArpArrive { node, .. } => *node,
-            Event::SwitchTick => switch,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,10 +30,11 @@ pub mod event;
 pub mod fabric;
 pub mod fault;
 pub mod kv_serve;
-pub mod pdes_cluster;
 pub mod testbed;
 
-pub use cluster_chain::{run_crcverify_shuffle, run_filter_agg_hll, ChainRun, ChainSpec};
+pub use cluster_chain::{
+    run_crcverify_shuffle, run_filter_agg_hll, ChainRun, ChainSpec, MAX_CHAIN_TUPLES,
+};
 pub use config::{NicConfig, Platform};
 pub use controller::{CommandWord, StatusRegisters};
 pub use corpus::{
@@ -44,11 +45,7 @@ pub use event::{Event, NodeId};
 pub use fabric::KernelFabric;
 pub use fault::{LinkFaultModel, LossModel};
 pub use kv_serve::{run_kv_serve, run_kv_serve_instrumented, KvOutcome, KvSpec};
-pub use pdes_cluster::{
-    run_pdes_cluster, run_pdes_cluster_reference, ClusterPdesReport, KvPdesWorkload,
-    PdesClusterParams,
-};
-pub use testbed::{ClusterTestbed, CpuFallback, LookaheadReport, SwitchParams, Testbed, WatchId};
+pub use testbed::{ClusterTestbed, CpuFallback, SwitchParams, Testbed, WatchId};
 
 pub use chaos::{active_fault_types, chaos_model, run_chaos, ChaosOutcome, ChaosSpec};
 

@@ -251,122 +251,6 @@ struct SwitchState {
     port_metrics: Vec<PortMetrics>,
 }
 
-/// What the observation-only lookahead audit saw over a run: how often
-/// the testbed scheduled an event across a partition boundary (per
-/// [`Event::owner`]), and how far into the future the nearest such event
-/// landed.
-///
-/// `min_cross_delta >= floor` with `violations == 0` is the empirical
-/// footing for the PDES engine's conservative window (DESIGN.md §15):
-/// it certifies that this workload never schedules a cross-partition
-/// event closer than the physical lookahead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LookaheadReport {
-    /// Cross-partition events scheduled while dispatching.
-    pub cross_events: u64,
-    /// Smallest observed cross-partition scheduling distance
-    /// (`u64::MAX` when no cross events were seen).
-    pub min_cross_delta: TimeDelta,
-    /// Cross-partition events scheduled closer than `floor`.
-    pub violations: u64,
-    /// The lookahead being audited against (the cable propagation
-    /// delay).
-    pub floor: TimeDelta,
-}
-
-/// Running state of the lookahead audit.
-#[derive(Debug)]
-struct LookaheadAudit {
-    /// Owner of the event currently being dispatched (valid only while
-    /// `in_dispatch`).
-    current_owner: usize,
-    /// Firing time of the event currently being dispatched.
-    now: Time,
-    /// Audit samples are taken only for events scheduled from inside
-    /// `dispatch_event` — host-driver posts from outside the loop have
-    /// no owning partition to be "cross" from.
-    in_dispatch: bool,
-    report: LookaheadReport,
-}
-
-/// The testbed's event queue behind the single scheduling chokepoint:
-/// every `schedule_at` in the testbed goes through here, so the
-/// lookahead audit observes each event exactly once, tagged with
-/// [`Event::owner`] — without touching any call site. The audit is
-/// observation-only: enabled or not, the scheduled event stream is
-/// bit-identical (the chaos fingerprints pin this).
-#[derive(Debug)]
-struct AuditedQueue {
-    inner: EventQueue<Event>,
-    /// Partition id assigned to the switch (= the node count).
-    switch_owner: usize,
-    audit: Option<LookaheadAudit>,
-}
-
-impl AuditedQueue {
-    fn new(switch_owner: usize) -> Self {
-        Self {
-            inner: EventQueue::new(),
-            switch_owner,
-            audit: None,
-        }
-    }
-
-    /// Marks the start of dispatching `event` (records its owner as the
-    /// source partition for any events it schedules).
-    fn begin_dispatch(&mut self, owner: usize, now: Time) {
-        if let Some(a) = &mut self.audit {
-            a.current_owner = owner;
-            a.now = now;
-            a.in_dispatch = true;
-        }
-    }
-
-    fn end_dispatch(&mut self) {
-        if let Some(a) = &mut self.audit {
-            a.in_dispatch = false;
-        }
-    }
-
-    fn schedule_at(&mut self, at: Time, event: Event) {
-        if let Some(a) = &mut self.audit {
-            if a.in_dispatch && event.owner(self.switch_owner) != a.current_owner {
-                let delta = at.saturating_sub(a.now);
-                a.report.cross_events += 1;
-                a.report.min_cross_delta = a.report.min_cross_delta.min(delta);
-                if delta < a.report.floor {
-                    a.report.violations += 1;
-                }
-            }
-        }
-        self.inner.schedule_at(at, event);
-    }
-
-    fn now(&self) -> Time {
-        self.inner.now()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    fn pop(&mut self) -> Option<strom_sim::Scheduled<Event>> {
-        self.inner.pop()
-    }
-
-    fn pop_batch(&mut self, out: &mut Vec<strom_sim::Scheduled<Event>>) -> usize {
-        self.inner.pop_batch(out)
-    }
-
-    fn advance_to(&mut self, t: Time) {
-        self.inner.advance_to(t)
-    }
-
-    fn set_telemetry(&mut self, trace: TraceSink, dispatched: Option<Counter>) {
-        self.inner.set_telemetry(trace, dispatched)
-    }
-}
-
 /// The simulated world: N nodes and the network between them —
 /// point-to-point wires for [`ClusterTestbed::transparent_pair`], a
 /// store-and-forward switch for [`ClusterTestbed::switched`].
@@ -375,7 +259,7 @@ pub struct ClusterTestbed {
     nodes: Vec<Node>,
     /// Egress serializers: `links[n]` is node n's transmit direction.
     links: Vec<LinkSerializer>,
-    queue: AuditedQueue,
+    queue: EventQueue<Event>,
     rng: SimRng,
     /// Per-directed-pair fault-model state: `fault_state[src * n + dst]`
     /// is the Gilbert–Elliott chain for frames sent by `src` to `dst`.
@@ -518,7 +402,7 @@ impl ClusterTestbed {
             links: (0..n)
                 .map(|_| LinkSerializer::new(cfg.link_bandwidth))
                 .collect(),
-            queue: AuditedQueue::new(n),
+            queue: EventQueue::new(),
             rng: SimRng::seed(cfg.seed),
             fault_state: vec![LinkFaultState::default(); n * n],
             port_fault: vec![None; n],
@@ -610,7 +494,7 @@ impl ClusterTestbed {
     /// drivers use this to process everything due before an arrival
     /// time, then [`Self::advance`] the clock to the arrival itself.
     pub fn next_event_at(&self) -> Option<Time> {
-        self.queue.inner.peek_time()
+        self.queue.peek_time()
     }
 
     /// Mutable access to a node's host memory (the application's view).
@@ -1090,35 +974,7 @@ impl ClusterTestbed {
         n as u64
     }
 
-    /// Enables the observation-only lookahead audit: every event
-    /// scheduled from inside the dispatch loop is classified by
-    /// [`Event::owner`] as partition-local or cross-partition, and the
-    /// cross-partition scheduling distances are tracked against the
-    /// cable propagation delay (the PDES lookahead). Changes nothing
-    /// about the run itself.
-    pub fn enable_lookahead_audit(&mut self) {
-        self.queue.audit = Some(LookaheadAudit {
-            current_owner: 0,
-            now: 0,
-            in_dispatch: false,
-            report: LookaheadReport {
-                cross_events: 0,
-                min_cross_delta: u64::MAX,
-                violations: 0,
-                floor: self.cfg.propagation,
-            },
-        });
-    }
-
-    /// The lookahead audit's findings so far (`None` until
-    /// [`Self::enable_lookahead_audit`] is called).
-    pub fn lookahead_report(&self) -> Option<LookaheadReport> {
-        self.queue.audit.as_ref().map(|a| a.report)
-    }
-
     fn dispatch_event(&mut self, event: Event, now: Time) {
-        self.queue
-            .begin_dispatch(event.owner(self.queue.switch_owner), now);
         match event {
             Event::CmdArrive {
                 node,
@@ -1142,7 +998,6 @@ impl ClusterTestbed {
             Event::SwitchTick => self.on_switch_tick(now),
             Event::ArpArrive { node, frame } => self.on_arp(node, &frame, now),
         }
-        self.queue.end_dispatch();
     }
 
     // ----- event handlers -------------------------------------------------

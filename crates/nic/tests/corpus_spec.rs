@@ -4,7 +4,7 @@
 //! specs the corpus runs are digest-identical across reruns.
 
 use strom_nic::corpus::{ChainKind, ScenarioSpec, SpecError, Workload};
-use strom_nic::Platform;
+use strom_nic::{Platform, MAX_CHAIN_TUPLES};
 use strom_sim::SimRng;
 
 /// Draws one structurally valid spec from the RNG, spanning every
@@ -52,7 +52,7 @@ fn arbitrary_spec(rng: &mut SimRng) -> ScenarioSpec {
             } else {
                 ChainKind::CrcVerifyShuffle
             },
-            tuples: rng.range(1, 1 << 22) as usize,
+            tuples: rng.range(1, MAX_CHAIN_TUPLES as u64 + 1) as usize,
         },
     };
     let name: String = (0..rng.range(1, 24))

@@ -8,6 +8,7 @@
 use strom_nic::testbed::ClusterTestbed;
 use strom_nic::{CompletionStatus, Platform, WorkRequest};
 use strom_sim::SimRng;
+use strom_telemetry::fnv::{fnv1a, FNV_OFFSET};
 
 const CLIENT: usize = 0;
 const SERVER: usize = 1;
@@ -20,15 +21,6 @@ struct MixOutcome {
     elapsed_ps: u64,
     bytes_moved: u64,
     digest: u64,
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Runs `ops` seeded READ/WRITE ops (mixed sizes, 64 B .. 48 KiB) on a
@@ -80,8 +72,8 @@ fn run_mix(platform: Platform, seed: u64, ops: usize) -> MixOutcome {
         op_latency_ps.push(done - posted);
     }
     assert!(tb.run_until_idle_bounded(50_000_000));
-    let mut digest = fnv(&tb.mem(SERVER).read(b + (2 << 20), 2 << 20));
-    digest ^= fnv(&tb.mem(CLIENT).read(a + (2 << 20), 2 << 20)).rotate_left(1);
+    let mut digest = fnv1a(FNV_OFFSET, &tb.mem(SERVER).read(b + (2 << 20), 2 << 20));
+    digest ^= fnv1a(FNV_OFFSET, &tb.mem(CLIENT).read(a + (2 << 20), 2 << 20)).rotate_left(1);
     MixOutcome {
         op_latency_ps,
         elapsed_ps: tb.now() - t0,

@@ -17,7 +17,6 @@ pub mod arrivals;
 pub mod event;
 pub mod fifo;
 pub mod parallel;
-pub mod pdes;
 pub mod rate;
 pub mod report;
 pub mod rng;
@@ -30,7 +29,6 @@ pub use arrivals::{ArrivalGen, ArrivalProcess, ZipfSampler};
 pub use event::{EventQueue, ReferenceEventQueue, Scheduled};
 pub use fifo::Fifo;
 pub use parallel::{default_workers, parallel_map};
-pub use pdes::{DispatchRecord, Outbox, Partition, PartitionId, PdesEngine, PdesReport};
 pub use rate::{Bandwidth, LinkSerializer, Pacer};
 pub use rng::SimRng;
 pub use stats::{LatencySummary, Samples};

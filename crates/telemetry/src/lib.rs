@@ -18,17 +18,19 @@
 //!   registers, so a counter cannot silently drift out of `status()`.
 //! - [`TelemetryReport`] — machine-readable JSON export of all of the
 //!   above, written next to the text tables by the bench binaries.
+//! - [`fnv`] — the byte-wise FNV-1a fold every run fingerprint uses.
 //!
 //! Determinism: nothing here draws randomness or reads wall-clock time.
 //! Two same-seed simulation runs emit byte-identical trace streams and
 //! bit-identical histogram buckets, which `tests/chaos_soak.rs` checks.
 
 pub mod counters;
+pub mod fnv;
 pub mod metrics;
 pub mod report;
 pub mod trace;
 
-pub use counters::{PdesCounters, WireCounters};
+pub use counters::WireCounters;
 pub use metrics::{
     jain_index, Counter, Gauge, Histogram, HistogramHandle, MetricsRegistry, MetricsSnapshot,
 };

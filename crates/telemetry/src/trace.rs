@@ -15,6 +15,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::fnv::{fnv1a_u64, FNV_OFFSET};
 use crate::Time;
 
 /// Why a frame was dropped on the receive path.
@@ -161,17 +162,6 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 impl TraceEvent {
     /// Folds the event into an FNV-1a accumulator via a stable manual
     /// encoding (a tag word plus each field widened to `u64`), so
@@ -192,8 +182,8 @@ impl TraceEvent {
                 u64::from(psn),
                 u64::from(wire_bytes),
             ]
-            .iter()
-            .fold(h, |h, &v| fnv(h, v)),
+            .into_iter()
+            .fold(h, fnv1a_u64),
             TraceEvent::PacketRx {
                 node,
                 opcode,
@@ -208,46 +198,46 @@ impl TraceEvent {
                 u64::from(psn),
                 u64::from(payload_len),
             ]
-            .iter()
-            .fold(h, |h, &v| fnv(h, v)),
+            .into_iter()
+            .fold(h, fnv1a_u64),
             TraceEvent::PacketDrop { node, reason } => [3, u64::from(node), reason as u64]
-                .iter()
-                .fold(h, |h, &v| fnv(h, v)),
+                .into_iter()
+                .fold(h, fnv1a_u64),
             TraceEvent::QpTransition { qpn, from, to } => {
                 [4, u64::from(qpn), from as u64, to as u64]
-                    .iter()
-                    .fold(h, |h, &v| fnv(h, v))
+                    .into_iter()
+                    .fold(h, fnv1a_u64)
             }
             TraceEvent::Retransmit { qpn, packets } => [5, u64::from(qpn), u64::from(packets)]
-                .iter()
-                .fold(h, |h, &v| fnv(h, v)),
+                .into_iter()
+                .fold(h, fnv1a_u64),
             TraceEvent::Backoff {
                 qpn,
                 attempts,
                 timeout,
             } => [6, u64::from(qpn), u64::from(attempts), timeout]
-                .iter()
-                .fold(h, |h, &v| fnv(h, v)),
+                .into_iter()
+                .fold(h, fnv1a_u64),
             TraceEvent::DmaRead { node, vaddr, len } => [7, u64::from(node), vaddr, u64::from(len)]
-                .iter()
-                .fold(h, |h, &v| fnv(h, v)),
+                .into_iter()
+                .fold(h, fnv1a_u64),
             TraceEvent::DmaWrite { node, vaddr, len } => {
                 [8, u64::from(node), vaddr, u64::from(len)]
-                    .iter()
-                    .fold(h, |h, &v| fnv(h, v))
+                    .into_iter()
+                    .fold(h, fnv1a_u64)
             }
             TraceEvent::TlbLookup {
                 vaddr,
                 len,
                 segments,
             } => [9, vaddr, u64::from(len), u64::from(segments)]
-                .iter()
-                .fold(h, |h, &v| fnv(h, v)),
+                .into_iter()
+                .fold(h, fnv1a_u64),
             TraceEvent::KernelEnter { node, op } => {
-                [10, u64::from(node), op].iter().fold(h, |h, &v| fnv(h, v))
+                [10, u64::from(node), op].into_iter().fold(h, fnv1a_u64)
             }
             TraceEvent::KernelExit { node, op } => {
-                [11, u64::from(node), op].iter().fold(h, |h, &v| fnv(h, v))
+                [11, u64::from(node), op].into_iter().fold(h, fnv1a_u64)
             }
         }
     }
@@ -272,7 +262,7 @@ impl SinkState {
             event,
         };
         self.emitted += 1;
-        self.fingerprint = event.fold(fnv(fnv(self.fingerprint, rec.seq), rec.at));
+        self.fingerprint = event.fold(fnv1a_u64(fnv1a_u64(self.fingerprint, rec.seq), rec.at));
         if self.ring.len() < self.capacity {
             self.ring.push(rec);
         } else {
