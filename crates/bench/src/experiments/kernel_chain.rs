@@ -12,10 +12,6 @@
 //! shows the in-band `ERR_*` sentinel path: a flipped payload byte
 //! surfaces as `ERR_INCONSISTENT` at the client while the downstream
 //! shuffle stage is starved.
-//!
-//! The two tuned points are shared with the `wire_micro` binary via
-//! [`spec`], so `BENCH_wire.json`'s `chain_*_gibps` gates and this
-//! figure measure the same runs.
 
 use strom_nic::{run_crcverify_shuffle, run_filter_agg_hll, ChainRun, ChainSpec};
 use strom_sim::report::{render_table, Figure, Series};
@@ -35,7 +31,7 @@ pub fn tuple_counts(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// The tuned throughput point quoted in `BENCH_wire.json`: large enough
+/// The tuned throughput point of the figure's error table: large enough
 /// that per-stream setup amortizes, small enough for a CI smoke run.
 pub fn bench_tuples(scale: Scale) -> usize {
     match scale {
@@ -44,8 +40,7 @@ pub fn bench_tuples(scale: Scale) -> usize {
     }
 }
 
-/// The spec for one swept point. Shared with `wire_micro` so the JSON
-/// gates and the figure measure the same runs.
+/// The spec for one swept point.
 pub fn spec(tuples: usize) -> ChainSpec {
     ChainSpec::new(tuples, SEED ^ tuples as u64)
 }

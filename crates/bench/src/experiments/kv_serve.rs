@@ -16,9 +16,9 @@
 //! Every swept point is a fully verified [`run_kv_serve`]: payloads are
 //! checked end to end against the version ladder and the exactly-once
 //! PUT audit must come out clean, so the figure cannot quote latencies
-//! for a tier that corrupted data. The tuned mid-load point is shared
-//! with the `wire_micro` binary via [`spec`], so `BENCH_wire.json`'s
-//! `kv_*` gates and this figure measure the same runs.
+//! for a tier that corrupted data. The unit tests hold the tuned
+//! mid-load point and the overload point to their acceptance bars
+//! through the same [`spec`] this figure sweeps.
 
 use strom_baselines::tcp_rpc::TcpRpcModel;
 use strom_nic::kv_serve::{run_kv_serve, run_kv_serve_instrumented, KvOutcome, KvSpec};
@@ -55,8 +55,8 @@ pub const TUNED_GAP_NS: u64 = 3_000;
 /// The overload point whose achieved throughput is the knee floor gate.
 pub const OVERLOAD_GAP_NS: u64 = 400;
 
-/// The spec for one swept point. Shared with `wire_micro` so the JSON
-/// gates and the figure measure the same runs.
+/// The spec for one swept point. Shared with the unit tests so the
+/// acceptance bars and the figure measure the same runs.
 pub fn spec(gap_ns: u64, scale: Scale) -> KvSpec {
     let mut spec = KvSpec::new(SERVERS, CLIENTS, gap_ns * NANOS, SEED ^ gap_ns);
     spec.requests = match scale {
@@ -220,6 +220,32 @@ mod tests {
         assert_eq!(audit_violations(&out), 0);
         assert_eq!(out.completed, 240);
         assert!(out.p999_ps.unwrap() < 100 * strom_sim::time::MICROS);
+        assert!(
+            out.achieved_rps * 10 > out.offered_rps * 8,
+            "achieved {} rps must track offered {} rps",
+            out.achieved_rps,
+            out.offered_rps
+        );
+    }
+
+    /// The overload point sits past the knee: the audit stays clean, the
+    /// tier still delivers at least the knee throughput floor, and it
+    /// saturates well below the offered rate.
+    #[test]
+    fn overload_point_saturates_above_the_knee_floor() {
+        let out = run_kv_serve(&spec(OVERLOAD_GAP_NS, Scale::Quick));
+        assert_eq!(audit_violations(&out), 0);
+        assert!(
+            out.achieved_rps >= 400_000,
+            "knee throughput floor broken: {} rps",
+            out.achieved_rps
+        );
+        assert!(
+            out.offered_rps > 2 * out.achieved_rps,
+            "offered {} rps must exceed twice the achieved {} rps",
+            out.offered_rps,
+            out.achieved_rps
+        );
     }
 
     /// The TCP baseline's knee sits earlier than StRoM's: at the tuned

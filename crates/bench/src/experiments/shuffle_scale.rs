@@ -25,8 +25,7 @@ pub const NODE_COUNTS: [usize; 3] = [2, 4, 8];
 /// loses frames and recovers them via retransmission.
 pub const LOSS_RATE: f64 = 0.02;
 
-/// The spec for one scaling point. Shared with the `wire_micro` binary
-/// so `BENCH_wire.json` and the figure report measure the same runs.
+/// The spec for one scaling point.
 pub fn spec(nodes: usize, scale: Scale, lossy: bool) -> ShuffleSpec {
     let values_per_node = match scale {
         Scale::Quick => 16 * 1024,
@@ -54,8 +53,7 @@ pub fn spec(nodes: usize, scale: Scale, lossy: bool) -> ShuffleSpec {
 /// well past it), with or without DCQCN. Without CC the overflow feeds
 /// tail-drop / go-back-N storms; with CC the marker holds the queue
 /// short, so both the drops and the loss-amplified retransmissions
-/// collapse. Shared with `wire_micro`, which records and gates the
-/// improvement ratio in `BENCH_wire.json`.
+/// collapse. The unit test gates the improvement ratio on this pair.
 pub fn cc_spec(nodes: usize, scale: Scale, cc: bool) -> ShuffleSpec {
     let mut spec = spec(nodes, scale, true);
     // Fixed input size regardless of scale: the pair is a gate (CI

@@ -1,14 +1,15 @@
-//! A tiny self-contained micro-benchmark runner for the `benches/` tree.
+//! A tiny self-contained micro-benchmark runner for the `wire_micro`
+//! binary.
 //!
-//! The container this repo builds in has no network access, so the usual
-//! external harness cannot be a dependency. This module provides the small
-//! slice of it the benches need: warmup, repeated timed batches, and a
-//! median-of-batches report with optional throughput.
+//! The repository builds without network access, so the usual external
+//! harness cannot be a dependency. This module provides the small slice of
+//! it the layer micro-benchmarks need: warmup, repeated timed batches, and
+//! a median-of-batches report with a throughput conversion.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Re-exported so bench files can write `micro::black_box(..)`.
+/// Re-exported so callers can write `micro::bb(..)`.
 pub use std::hint::black_box as bb;
 
 /// One measured result.
@@ -58,17 +59,6 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Measurement {
         ns_per_iter: samples[BATCHES / 2],
     };
     println!("{name:<40} {:>12.1} ns/iter", m.ns_per_iter);
-    m
-}
-
-/// Like [`bench`] but also prints throughput for `bytes` per iteration.
-pub fn bench_throughput<T>(name: &str, bytes: u64, f: impl FnMut() -> T) -> Measurement {
-    let m = bench(name, f);
-    println!(
-        "{:<40} {:>12.3} GiB/s",
-        format!("  ({bytes} B)"),
-        m.gib_per_sec(bytes)
-    );
     m
 }
 

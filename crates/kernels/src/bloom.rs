@@ -8,10 +8,8 @@
 //! pointer-parameter pattern as the shuffle histogram), and then drops
 //! non-member tuples from the stream at line rate.
 //!
-//! The hot loop is vectorized: tuple hashes are computed four lanes at a
-//! time ([`crate::hash::mix64_batch`]); the bitmap probes stay scalar
-//! (they are data-dependent gathers), exactly like the HLL register
-//! scatter. Differential-tested against [`BloomFilter::contains`] one
+//! The probes are data-dependent gathers into the bitmap, so the hot
+//! loop stays scalar: [`BloomFilter::contains_mask`] hashes and probes one
 //! tuple at a time.
 
 use bytes::Bytes;
@@ -20,7 +18,7 @@ use strom_wire::bth::Qpn;
 use strom_wire::opcode::RpcOpCode;
 
 use crate::framework::{Kernel, KernelAction, KernelEvent};
-use crate::hash::{mix64, mix64_batch};
+use crate::hash::mix64;
 
 /// Second-hash tweak for double hashing (an arbitrary odd constant).
 const H2_TWEAK: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -94,47 +92,22 @@ impl BloomFilter {
         }
     }
 
-    /// Membership probe given precomputed `h1` (the batch path shares the
-    /// vectorized first hash).
-    #[inline]
-    fn contains_h1(&self, h1: u64) -> bool {
-        let h2 = mix64(h1 ^ H2_TWEAK) | 1;
+    /// Membership probe: no false negatives, tunable false positives.
+    pub fn contains(&self, value: u64) -> bool {
+        let (h1, h2) = Self::hashes(value);
         (0..u64::from(self.probes)).all(|i| {
             let (word, mask) = self.bit(h1, h2, i);
             self.words[word] & mask != 0
         })
     }
 
-    /// Membership probe: no false negatives, tunable false positives.
-    pub fn contains(&self, value: u64) -> bool {
-        self.contains_h1(mix64(value))
-    }
-
     /// Block membership probe: bit i of the result is set iff
-    /// `values[i]` may be a member. First hash is vectorized
-    /// ([`mix64_batch`]); probes are scalar gathers. Reference:
-    /// [`Self::contains_mask_reference`].
+    /// `values[i]` may be a member.
     ///
     /// # Panics
     ///
     /// Panics if `values` holds more than 64 elements.
     pub fn contains_mask(&self, values: &[u64]) -> u64 {
-        assert!(values.len() <= 64, "one mask word covers 64 values");
-        let mut h1 = [0u64; 64];
-        mix64_batch(values, &mut h1[..values.len()]);
-        let mut m = 0u64;
-        for (i, &h) in h1[..values.len()].iter().enumerate() {
-            m |= u64::from(self.contains_h1(h)) << i;
-        }
-        m
-    }
-
-    /// One-value-at-a-time reference for [`Self::contains_mask`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` holds more than 64 elements.
-    pub fn contains_mask_reference(&self, values: &[u64]) -> u64 {
         assert!(values.len() <= 64, "one mask word covers 64 values");
         let mut m = 0u64;
         for (i, &v) in values.iter().enumerate() {
@@ -427,19 +400,6 @@ mod tests {
         let g = BloomFilter::from_bitmap(16, 4, &f.to_bitmap());
         for v in 0..5000u64 {
             assert_eq!(f.contains(v), g.contains(v), "value {v}");
-        }
-    }
-
-    #[test]
-    fn contains_mask_matches_reference_at_every_width() {
-        let f = build_filter(&(0..300u64).map(|i| i * 7).collect::<Vec<_>>());
-        let probe: Vec<u64> = (0..64u64).map(|i| i * 7 + (i % 3)).collect();
-        for len in 0..=64usize {
-            assert_eq!(
-                f.contains_mask(&probe[..len]),
-                f.contains_mask_reference(&probe[..len]),
-                "len = {len}"
-            );
         }
     }
 

@@ -16,16 +16,9 @@
 //! kept as [`crc64_reference`] for differential tests and the `wire_micro`
 //! bench.
 //!
-//! [`crc64_parallel`] goes one step further for large one-shot digests:
-//! it runs four *independent* slice-by-16 recurrences over four quarters
-//! of the input — breaking the serial dependency chain the paper's
-//! footnote 8 describes — and stitches the four lane digests together
-//! with a GF(2) "advance by N zero bytes" operator ([`crc64_combine`]),
-//! the zlib `crc32_combine` construction lifted to the 64-bit MSB-first
-//! polynomial. It is dispatched through [`crate::simd`] and
-//! differential-tested against [`crc64_reference`].
-
-use crate::simd_dispatch;
+//! There is no multi-lane variant. The consistency and CRC-verify
+//! kernels stream their digest packet by packet through [`Crc64::update`],
+//! so the serial recurrence is the one the NIC pipeline runs as well.
 
 /// The ECMA-182 polynomial in normal (MSB-first) form.
 pub const POLY_ECMA_182: u64 = 0x42F0_E1EB_A9EA_3693;
@@ -81,122 +74,7 @@ fn step16(t: &[[u64; 256]; 16], crc: u64, c: &[u8]) -> u64 {
         ^ t[0][c[15] as usize]
 }
 
-/// Applies a GF(2) linear operator (64×64 bit matrix, `mat[i]` = image of
-/// basis bit `i`) to a CRC state.
-#[inline]
-fn gf2_times(mat: &[u64; 64], mut vec: u64) -> u64 {
-    let mut sum = 0u64;
-    let mut i = 0usize;
-    while vec != 0 {
-        if vec & 1 != 0 {
-            sum ^= mat[i];
-        }
-        vec >>= 1;
-        i += 1;
-    }
-    sum
-}
-
-/// The operator that advances an MSB-first CRC64 state by one zero byte.
-fn byte_operator() -> &'static [u64; 64] {
-    use std::sync::OnceLock;
-    static OP: OnceLock<[u64; 64]> = OnceLock::new();
-    OP.get_or_init(|| {
-        let t0 = &tables()[0];
-        let mut m = [0u64; 64];
-        for (i, out) in m.iter_mut().enumerate() {
-            let c = 1u64 << i;
-            *out = (c << 8) ^ t0[(c >> 56) as usize];
-        }
-        m
-    })
-}
-
-/// `M^(2^k)` for the one-zero-byte operator `M`, all 64 binary powers,
-/// built once. Squaring the operator per [`crc64_shift_zeros`] call cost
-/// more than the lane hashing it stitched; with the cache a shift is one
-/// 64-op matrix–vector product per set bit of `len`.
-fn power_operators() -> &'static [[u64; 64]; 64] {
-    use std::sync::OnceLock;
-    static OPS: OnceLock<Box<[[u64; 64]; 64]>> = OnceLock::new();
-    OPS.get_or_init(|| {
-        let mut ops = Box::new([[0u64; 64]; 64]);
-        ops[0] = *byte_operator();
-        for k in 1..64 {
-            let (done, rest) = ops.split_at_mut(k);
-            let prev = &done[k - 1];
-            for (n, out) in rest[0].iter_mut().enumerate() {
-                *out = gf2_times(prev, prev[n]);
-            }
-        }
-        ops
-    })
-}
-
-/// Advances `crc` as if `len` zero bytes followed: applies the cached
-/// binary powers of the byte operator selected by the bits of `len`
-/// (powers of one matrix commute, so the order does not matter).
-fn crc64_shift_zeros(mut crc: u64, mut len: u64) -> u64 {
-    if crc == 0 || len == 0 {
-        return crc;
-    }
-    let ops = power_operators();
-    let mut k = 0usize;
-    while len != 0 {
-        if len & 1 != 0 {
-            crc = gf2_times(&ops[k], crc);
-        }
-        len >>= 1;
-        k += 1;
-    }
-    crc
-}
-
-/// Combines two independently computed digests: the CRC64 of `A ‖ B`
-/// given `crc64(A)`, `crc64(B)`, and `len(B)`.
-///
-/// Valid because this CRC is linear with init 0 and no xor-out:
-/// `crc(A ‖ B) = crc(A ‖ 0^len(B)) ^ crc(0^len(A) ‖ B)`, the first term is
-/// `crc(A)` advanced by `len(B)` zero bytes, and leading zeros do not move
-/// a zero-initialized state.
-pub fn crc64_combine(crc_a: u64, crc_b: u64, len_b: u64) -> u64 {
-    crc64_shift_zeros(crc_a, len_b) ^ crc_b
-}
-
-/// Minimum input size for the 4-lane path; below it the stitching
-/// overhead dominates and [`crc64`] is used directly.
-const PARALLEL_CUTOVER: usize = 1024;
-
-simd_dispatch! {
-    /// One-shot CRC64 over `data` using four independent slice-by-16
-    /// dependency chains over four quarters, stitched with
-    /// [`crc64_combine`]. Bit-identical to [`crc64`] / [`crc64_reference`]
-    /// at every length (differential-tested).
-    pub fn crc64_parallel(data: &[u8]) -> u64 {
-        if data.len() < PARALLEL_CUTOVER {
-            return crc64(data);
-        }
-        let q = (data.len() / 4) & !15;
-        let t = tables();
-        let (a, rest) = data.split_at(q);
-        let (b, rest) = rest.split_at(q);
-        let (c, rest) = rest.split_at(q);
-        let (d, tail) = rest.split_at(q);
-        let mut s = [0u64; 4];
-        for i in (0..q).step_by(16) {
-            s[0] = step16(t, s[0], &a[i..i + 16]);
-            s[1] = step16(t, s[1], &b[i..i + 16]);
-            s[2] = step16(t, s[2], &c[i..i + 16]);
-            s[3] = step16(t, s[3], &d[i..i + 16]);
-        }
-        // total = shift(shift(shift(s0, q)^s1, q)^s2, q)^s3, then the tail.
-        let mut crc = s[0];
-        for lane in &s[1..] {
-            crc = crc64_combine(crc, *lane, q as u64);
-        }
-        crc64_combine(crc, crc64(tail), tail.len() as u64)
-    }
-}
+/// A streaming CRC64 computation.
 ///
 /// `update` may be called with arbitrary split points; the digest is
 /// identical to hashing the concatenation in one call (the sliced loop
@@ -317,39 +195,6 @@ mod tests {
             data[i] ^= 0x01;
             assert_ne!(crc64(&data), base, "flip at {i} undetected");
             data[i] ^= 0x01;
-        }
-    }
-
-    #[test]
-    fn combine_stitches_split_digests() {
-        let data: Vec<u8> = (0..5000u32)
-            .map(|i| (i.wrapping_mul(131) >> 3) as u8)
-            .collect();
-        for split in [0usize, 1, 15, 16, 17, 1000, 4999, 5000] {
-            let (a, b) = data.split_at(split);
-            assert_eq!(
-                crc64_combine(crc64(a), crc64(b), b.len() as u64),
-                crc64(&data),
-                "split = {split}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_matches_reference_across_lengths() {
-        // Cover below/above the cutover, every tail length mod 16, and
-        // lane-boundary off-by-ones.
-        let data: Vec<u8> = (0..20_000u32)
-            .map(|i| (i.wrapping_mul(2654435761) >> 7) as u8)
-            .collect();
-        let mut lens: Vec<usize> = (0..48).collect();
-        lens.extend([1000, 1023, 1024, 1025, 4096, 4100, 8191, 16384, 20_000]);
-        for len in lens {
-            assert_eq!(
-                crc64_parallel(&data[..len]),
-                crc64_reference(&data[..len]),
-                "len = {len}"
-            );
         }
     }
 

@@ -6,9 +6,6 @@
 //! al. \[27\] cited in §6.4) and statistically strong enough for HLL's
 //! uniformity assumption.
 
-use crate::simd::U64x4;
-use crate::simd_dispatch;
-
 /// Mixes a 64-bit value (SplitMix64 finalizer).
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
@@ -22,52 +19,6 @@ pub fn mix64(mut x: u64) -> u64 {
 #[inline]
 pub fn hash_item(bytes: [u8; 8]) -> u64 {
     mix64(u64::from_le_bytes(bytes))
-}
-
-/// Four SplitMix64 finalizers in lock-step — the same constants and shift
-/// schedule as [`mix64`], one value per lane.
-#[inline(always)]
-pub fn mix64_x4(x: U64x4) -> U64x4 {
-    let x = x.wrapping_add(U64x4::splat(0x9E37_79B9_7F4A_7C15));
-    let x = x
-        .xor(x.shr(30))
-        .wrapping_mul(U64x4::splat(0xBF58_476D_1CE4_E5B9));
-    let x = x
-        .xor(x.shr(27))
-        .wrapping_mul(U64x4::splat(0x94D0_49BB_1331_11EB));
-    x.xor(x.shr(31))
-}
-
-simd_dispatch! {
-    /// Hashes `values` into `out` four lanes at a time. Bit-identical to a
-    /// [`mix64`] loop (differential-tested; [`mix64_batch_reference`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn mix64_batch(values: &[u64], out: &mut [u64]) {
-        assert_eq!(values.len(), out.len(), "in/out length mismatch");
-        let mut i = 0;
-        while i + 4 <= values.len() {
-            out[i..i + 4].copy_from_slice(&mix64_x4(U64x4::load(&values[i..])).to_array());
-            i += 4;
-        }
-        for j in i..values.len() {
-            out[j] = mix64(values[j]);
-        }
-    }
-}
-
-/// Scalar-loop reference for [`mix64_batch`].
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mix64_batch_reference(values: &[u64], out: &mut [u64]) {
-    assert_eq!(values.len(), out.len(), "in/out length mismatch");
-    for (o, &v) in out.iter_mut().zip(values) {
-        *o = mix64(v);
-    }
 }
 
 #[cfg(test)]
@@ -116,28 +67,5 @@ mod tests {
     #[test]
     fn hash_item_uses_little_endian() {
         assert_eq!(hash_item(1u64.to_le_bytes()), mix64(1));
-    }
-
-    #[test]
-    fn batch_matches_scalar_at_every_width() {
-        let values: Vec<u64> = (0..37u64)
-            .map(|i| i.wrapping_mul(0xdead_beef_cafe))
-            .collect();
-        for len in 0..=values.len() {
-            let mut fast = vec![0u64; len];
-            let mut slow = vec![0u64; len];
-            mix64_batch(&values[..len], &mut fast);
-            mix64_batch_reference(&values[..len], &mut slow);
-            assert_eq!(fast, slow, "len = {len}");
-        }
-    }
-
-    #[test]
-    fn x4_lanes_are_independent() {
-        let h = mix64_x4(U64x4::load(&[0, 1, u64::MAX, 42]));
-        assert_eq!(
-            h.to_array(),
-            [mix64(0), mix64(1), mix64(u64::MAX), mix64(42)]
-        );
     }
 }

@@ -102,17 +102,11 @@ impl HllKernel {
             input = &joined;
         }
         let whole = input.len() / 8 * 8;
-        // Decode a block of tuples, then hash it four lanes at a time —
-        // bit-identical to the per-item path (see hll differential tests).
-        let mut block = [0u64; 64];
-        for run in input[..whole].chunks(64 * 8) {
-            let n = run.len() / 8;
-            for (slot, chunk) in block[..n].iter_mut().zip(run.chunks_exact(8)) {
-                *slot = u64::from_le_bytes(chunk.try_into().expect("sized"));
-            }
-            self.sketch.add_u64_batch(&block[..n]);
-            self.items += n as u64;
+        for chunk in input[..whole].chunks_exact(8) {
+            self.sketch
+                .add_u64(u64::from_le_bytes(chunk.try_into().expect("sized")));
         }
+        self.items += (whole / 8) as u64;
         if whole < input.len() {
             self.spill = input[whole..].to_vec();
         }

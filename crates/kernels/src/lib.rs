@@ -34,8 +34,9 @@
 //! [`crc_verify`] cut-through integrity stage, the
 //! [`framework::KernelChain`] combinator composing kernels into on-NIC
 //! pipelines ([`chains`] holds the canonical ones), and a portable
-//! [`simd`] layer that vectorizes the hot loops while keeping scalar
-//! references for differential testing.
+//! [`simd`] layer that vectorizes the four streaming hot loops that
+//! measure a win while keeping scalar references for differential
+//! testing.
 
 pub mod aggregate;
 pub mod bloom;

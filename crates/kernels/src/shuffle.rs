@@ -23,9 +23,7 @@ use bytes::Bytes;
 use strom_wire::opcode::RpcOpCode;
 
 use crate::framework::{Kernel, KernelAction, KernelEvent};
-use crate::radix::{
-    radix_bits, radix_partition, radix_partition_batch, MAX_PARTITIONS, PARTITION_BUFFER_VALUES,
-};
+use crate::radix::{radix_bits, radix_partition, MAX_PARTITIONS, PARTITION_BUFFER_VALUES};
 
 /// Parameters of the shuffle kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,29 +175,18 @@ impl ShuffleKernel {
             joined = Vec::new();
         }
         let whole = input.len() / 8 * 8;
-        // Compute partition ids for a whole block with the vector radix
-        // scan, then run the (serial) on-chip buffer appends — identical
-        // order and results to the per-value loop.
-        let mut block = [0u64; 64];
-        let mut pids = [0u32; 64];
-        for run in input[..whole].chunks(64 * 8) {
-            let n = run.len() / 8;
-            for (slot, chunk) in block[..n].iter_mut().zip(run.chunks_exact(8)) {
-                *slot = u64::from_le_bytes(chunk.try_into().expect("sized"));
+        for chunk in input[..whole].chunks_exact(8) {
+            let value = u64::from_le_bytes(chunk.try_into().expect("sized"));
+            let p = &mut self.partitions[radix_partition(value, self.bits)];
+            if (p.buffer.len() + 8) as u32 > p.remaining {
+                // No room left in this partition's host region.
+                self.overflowed += 1;
+                continue;
             }
-            radix_partition_batch(&block[..n], self.bits, &mut pids[..n]);
-            for j in 0..n {
-                let p = &mut self.partitions[pids[j] as usize];
-                if (p.buffer.len() + 8) as u32 > p.remaining {
-                    // No room left in this partition's host region.
-                    self.overflowed += 1;
-                    continue;
-                }
-                p.buffer.extend_from_slice(&block[j].to_le_bytes());
-                self.values += 1;
-                if p.buffer.len() >= PARTITION_BUFFER_VALUES * 8 {
-                    Self::flush_partition(p, out);
-                }
+            p.buffer.extend_from_slice(chunk);
+            self.values += 1;
+            if p.buffer.len() >= PARTITION_BUFFER_VALUES * 8 {
+                Self::flush_partition(p, out);
             }
         }
         if whole < input.len() {

@@ -90,8 +90,8 @@ impl LinkFaultModel {
         }
     }
 
-    /// Independent Bernoulli loss only — the semantics of the old
-    /// `loss_rate` knob.
+    /// Independent Bernoulli loss only: each frame is dropped with
+    /// probability `rate`, and nothing else is injected.
     pub fn bernoulli(rate: f64) -> Self {
         LinkFaultModel {
             loss: if rate > 0.0 {

@@ -656,13 +656,6 @@ impl ClusterTestbed {
         }
     }
 
-    /// Sets independent Bernoulli link loss — a convenience wrapper around
-    /// [`Self::set_fault_model`] preserving the original single-knob API.
-    /// Replaces any fault model in force.
-    pub fn set_loss_rate(&mut self, rate: f64) {
-        self.cfg.fault = LinkFaultModel::bernoulli(rate);
-    }
-
     /// Installs a composable link fault model (loss, corruption,
     /// reordering, duplication) and resets the per-direction loss-model
     /// state, so the chaos schedule is fully determined by the model plus
@@ -2203,7 +2196,7 @@ mod tests {
     #[test]
     fn lossy_link_recovers_by_retransmission() {
         let mut tb = testbed();
-        tb.set_loss_rate(0.05);
+        tb.set_fault_model(LinkFaultModel::bernoulli(0.05));
         let src = tb.pin(0, 4 << 20);
         let dst = tb.pin(1, 4 << 20);
         let data: Vec<u8> = (0..200_000u32).map(|i| (i % 239) as u8).collect();
@@ -2225,7 +2218,7 @@ mod tests {
         for h in handles {
             tb.run_until_complete(0, h);
         }
-        tb.set_loss_rate(0.0);
+        tb.set_fault_model(LinkFaultModel::bernoulli(0.0));
         tb.run_until_idle();
         assert_eq!(tb.mem(1).read(dst, data.len()), data, "data survives loss");
         assert!(tb.retransmissions(0) > 0, "loss actually happened");
@@ -2255,7 +2248,7 @@ mod tests {
     fn deterministic_given_a_seed() {
         let run = || {
             let mut tb = testbed();
-            tb.set_loss_rate(0.02);
+            tb.set_fault_model(LinkFaultModel::bernoulli(0.02));
             let src = tb.pin(0, 1 << 20);
             let dst = tb.pin(1, 1 << 20);
             tb.mem(0).write(src, &[5u8; 50_000]);
