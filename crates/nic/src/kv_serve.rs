@@ -42,7 +42,6 @@
 use strom_kernels::framework::{decode_error, ERR_NOT_FOUND};
 use strom_kernels::layouts::{build_kv_store, versioned_value_pattern, KvStore};
 use strom_kernels::put::{encode_put_request, PutConfig, PUT_HEADER_LEN};
-use strom_kernels::simd::bytes_equal;
 use strom_kernels::{GetKernel, GetParams, PutKernel, TraversalKernel};
 use strom_sim::arrivals::{ArrivalGen, ArrivalProcess, ZipfSampler};
 use strom_sim::time::Time;
@@ -274,6 +273,21 @@ fn build_schedule(spec: &KvSpec) -> Vec<Request> {
     reqs
 }
 
+/// Whether `value` equals the payload of some version whose first byte
+/// is in `first_bytes` (non-empty). Every payload is a byte ramp,
+/// `v[j] == v[0] + j` ([`strom_kernels::layouts::value_pattern`]), so
+/// that holds exactly when `value` is a ramp starting at one of them.
+fn is_held_value(first_bytes: &[u8], value: &[u8]) -> bool {
+    let Some(&b0) = value.first() else {
+        return !first_bytes.is_empty();
+    };
+    value
+        .iter()
+        .enumerate()
+        .all(|(j, &b)| b == b0.wrapping_add(j as u8))
+        && first_bytes.contains(&b0)
+}
+
 /// Runs the serving tier and returns the observables.
 pub fn run_kv_serve(spec: &KvSpec) -> KvOutcome {
     run_kv_serve_instrumented(spec).0
@@ -484,13 +498,20 @@ pub fn run_kv_serve_instrumented(spec: &KvSpec) -> (KvOutcome, MetricsRegistry) 
     let mut verify_failures = 0u64;
     let mut last_response = t0;
     let mut fp = FNV_OFFSET;
-    // The payload a key legitimately holds at committed version `w`.
-    let pattern_at = |key: u64, w: u64| -> Vec<u8> {
-        match version_nonce.get(&(key, w)) {
-            Some(&nonce) => versioned_value_pattern(key, nonce, spec.value_size),
-            None => versioned_value_pattern(key, 0, spec.value_size),
-        }
-    };
+    // First byte of the payload each key legitimately holds at every
+    // committed version `0..=fin`.
+    let mut first_bytes: std::collections::BTreeMap<u64, Vec<u8>> = Default::default();
+    for r in &schedule {
+        first_bytes.entry(r.key).or_insert_with(|| {
+            let fin = final_version.get(&r.key).copied().unwrap_or(0);
+            (0..=fin)
+                .map(|w| {
+                    let nonce = version_nonce.get(&(r.key, w)).copied().unwrap_or(0);
+                    versioned_value_pattern(r.key, nonce, 1)[0]
+                })
+                .collect()
+        });
+    }
     for (i, r) in schedule.iter().enumerate() {
         let (watch, due) = watches[i];
         let Some(fired) = tb.watch_fired(watch) else {
@@ -527,7 +548,7 @@ pub fn run_kv_serve_instrumented(spec: &KvSpec) -> (KvOutcome, MetricsRegistry) 
                         let value = tb.mem(node).read(slot + 8, spec.value_size as usize);
                         let ok = r.op == KvOp::Get
                             && head <= fin
-                            && (head..=fin).any(|w| bytes_equal(&value, &pattern_at(r.key, w)));
+                            && is_held_value(&first_bytes[&r.key][head as usize..], &value);
                         if !ok {
                             verify_failures += 1;
                         }
@@ -542,7 +563,7 @@ pub fn run_kv_serve_instrumented(spec: &KvSpec) -> (KvOutcome, MetricsRegistry) 
                 traversals += 1;
                 per_op[2].record(lat);
                 let value = tb.mem(node).read(slot, spec.value_size as usize);
-                let ok = (0..=fin).any(|w| bytes_equal(&value, &pattern_at(r.key, w)));
+                let ok = is_held_value(&first_bytes[&r.key], &value);
                 if !ok {
                     verify_failures += 1;
                 }
@@ -625,6 +646,43 @@ mod tests {
         assert_eq!(o.put_errors, 0, "arena was sized for the schedule");
         assert_eq!(o.qp_errors, 0);
         assert_eq!(o.completed, o.gets + o.puts + o.traversals);
+    }
+
+    #[test]
+    fn audit_rejects_torn_values_and_versions_outside_the_range() {
+        // Key 7 committed versions 1..=3 under these nonces; version 0 is
+        // the preloaded payload.
+        let (key, size) = (7u64, 64usize);
+        let nonces = [0u64, 11, 22, 33];
+        let payload = |w: usize| versioned_value_pattern(key, nonces[w], size as u32);
+        let first: Vec<u8> = (0..nonces.len()).map(|w| payload(w)[0]).collect();
+        let mut torn = payload(2);
+        torn[size / 2] ^= 0x40;
+        let other_key = versioned_value_pattern(key + 1, 0, size as u32);
+        let cases = [
+            (0, payload(2)),
+            (2, payload(2)),
+            (3, payload(2)),
+            (0, torn.clone()),
+            (0, other_key),
+            (0, vec![0; size]),
+            (1, payload(0)),
+        ];
+        for (from, value) in &cases {
+            // Same verdict as comparing against every version's payload.
+            let naive = (*from..nonces.len()).any(|w| payload(w) == *value);
+            assert_eq!(
+                is_held_value(&first[*from..], value),
+                naive,
+                "{from} {value:?}"
+            );
+        }
+        assert!(is_held_value(&first[2..], &payload(2)));
+        assert!(
+            !is_held_value(&first, &torn),
+            "one torn byte fails the audit"
+        );
+        assert!(!is_held_value(&first[3..], &payload(2)), "version 2 < head");
     }
 
     #[test]

@@ -121,7 +121,6 @@ pub trait CpuFallback {
 
 #[derive(Debug)]
 struct Watch {
-    node: NodeId,
     addr: u64,
     len: u64,
     /// Bytes of the watched range not yet written.
@@ -278,7 +277,11 @@ pub struct ClusterTestbed {
     /// Protocol wr_id → testbed handle.
     wr_map: HashMap<(NodeId, u64), u64>,
     next_handle: u64,
+    /// Every watch ever registered, indexed by [`WatchId`].
     watches: Vec<Watch>,
+    /// Indices into `watches` of each node's unfired watches, so a DMA
+    /// write touches only the watches that can still fire.
+    live_watches: Vec<Vec<usize>>,
     /// Latest scheduled frame arrival per receiving node. The RX path is
     /// a FIFO: a short packet's smaller store-and-forward delay must not
     /// let it overtake an earlier, larger packet on the same wire.
@@ -412,6 +415,7 @@ impl ClusterTestbed {
             wr_map: HashMap::new(),
             next_handle: 1,
             watches: Vec::new(),
+            live_watches: vec![Vec::new(); n],
             last_arrival: vec![0; n],
             pool: FramePool::default(),
             trace: TraceSink::default(),
@@ -838,16 +842,32 @@ impl ClusterTestbed {
     }
 
     /// Registers a watch on `[addr, addr + len)` of `node`'s memory; fires
-    /// once that many bytes of the range have been DMA-written.
+    /// once that many bytes of the range have been DMA-written. A
+    /// zero-length watch has nothing left to wait for and fires at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node of this testbed.
     pub fn add_watch(&mut self, node: NodeId, addr: u64, len: u64) -> WatchId {
+        assert!(
+            node < self.nodes.len(),
+            "add_watch on unknown node {node} (testbed has {})",
+            self.nodes.len()
+        );
+        let id = self.watches.len();
+        let fired_at = if len == 0 {
+            Some(self.queue.now())
+        } else {
+            self.live_watches[node].push(id);
+            None
+        };
         self.watches.push(Watch {
-            node,
             addr,
             len,
             remaining: len,
-            fired_at: None,
+            fired_at,
         });
-        WatchId(self.watches.len() - 1)
+        WatchId(id)
     }
 
     /// When the given watch fired (including the host's polling-detection
@@ -1155,20 +1175,22 @@ impl ClusterTestbed {
             offset += seg.len as usize;
         }
         let done_at = self.queue.now();
-        // Notify watches overlapping the written range.
-        for w in &mut self.watches {
-            if w.fired_at.is_some() || w.node != node {
-                continue;
-            }
-            let start = vaddr.max(w.addr);
-            let end = (vaddr + data.len() as u64).min(w.addr + w.len);
+        // Notify the node's unfired watches overlapping the written range;
+        // fired ones leave the index.
+        let watches = &mut self.watches;
+        let written_end = vaddr + data.len() as u64;
+        self.live_watches[node].retain(|&i| {
+            let w = &mut watches[i];
+            let (start, end) = (vaddr.max(w.addr), written_end.min(w.addr + w.len));
             if end > start {
                 w.remaining = w.remaining.saturating_sub(end - start);
                 if w.remaining == 0 {
                     w.fired_at = Some(done_at);
+                    return false;
                 }
             }
-        }
+            true
+        });
     }
 
     fn on_kernel_read_done(
@@ -2051,6 +2073,7 @@ pub fn micros(us: u64) -> TimeDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strom_mem::HUGE_PAGE_SIZE;
     use strom_sim::time::MICROS;
 
     fn testbed() -> Testbed {
@@ -2266,5 +2289,100 @@ mod tests {
             (t, tb.retransmissions(0))
         };
         assert_eq!(run(), run(), "same seed, same trace");
+    }
+
+    #[test]
+    fn zero_length_watch_fires_at_registration() {
+        let mut tb = testbed();
+        let dst = tb.pin(1, 1 << 20);
+        tb.advance(5 * MICROS);
+        let w = tb.add_watch(1, dst, 0);
+        assert!(tb.live_watches[1].is_empty(), "nothing left to write");
+        let expect = 5 * MICROS + tb.config().poll_overhead;
+        assert_eq!(tb.watch_fired(w), Some(expect));
+        assert_eq!(tb.run_until_watch(w), expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "add_watch on unknown node 2")]
+    fn watch_on_unknown_node_names_it() {
+        testbed().add_watch(2, 0, 8);
+    }
+
+    /// The per-node live-watch index against a naive scan of every watch
+    /// ever registered: random overlapping watches straddling a huge-page
+    /// boundary on three nodes, registered between random ragged writes.
+    #[test]
+    fn live_watch_index_matches_a_full_scan() {
+        struct RefWatch {
+            node: NodeId,
+            addr: u64,
+            len: u64,
+            remaining: u64,
+            fired_at: Option<Time>,
+        }
+        const NODES: usize = 3;
+        const SPAN: u64 = 4096;
+        let mut tb = ClusterTestbed::switched(NicConfig::ten_gig(), NODES, SwitchParams::default());
+        // A window of SPAN bytes centred on each node's first page boundary.
+        let lo: Vec<u64> = (0..NODES)
+            .map(|n| tb.pin(n, 2 * HUGE_PAGE_SIZE) + HUGE_PAGE_SIZE - SPAN / 2)
+            .collect();
+        let mut rng = SimRng::seed(0x11FE);
+        let mut reference: Vec<RefWatch> = Vec::new();
+        let mut ids = Vec::new();
+        let write = |tb: &mut ClusterTestbed, r: &mut Vec<RefWatch>, node, vaddr, len: u64| {
+            tb.advance(1 + len);
+            let done_at = tb.now();
+            tb.on_dma_write_done(node, vaddr, &Bytes::from(vec![0xA5; len as usize]), done_at);
+            for w in r
+                .iter_mut()
+                .filter(|w| w.node == node && w.fired_at.is_none())
+            {
+                let start = vaddr.max(w.addr);
+                let end = (vaddr + len).min(w.addr + w.len);
+                if end > start {
+                    w.remaining = w.remaining.saturating_sub(end - start);
+                    if w.remaining == 0 {
+                        w.fired_at = Some(done_at);
+                    }
+                }
+            }
+        };
+        for _ in 0..600 {
+            for _ in 0..rng.below(4) {
+                let node = rng.below(NODES as u64) as usize;
+                let len = rng.range(1, 400);
+                let addr = lo[node] + rng.below(SPAN - len);
+                ids.push(tb.add_watch(node, addr, len));
+                reference.push(RefWatch {
+                    node,
+                    addr,
+                    len,
+                    remaining: len,
+                    fired_at: None,
+                });
+            }
+            let node = rng.below(NODES as u64) as usize;
+            let len = rng.range(1, 300);
+            let vaddr = lo[node] + rng.below(SPAN - len);
+            write(&mut tb, &mut reference, node, vaddr, len);
+            for (id, r) in ids.iter().zip(&reference) {
+                assert_eq!(tb.watches[id.0].fired_at, r.fired_at, "watch {id:?}");
+            }
+        }
+        // Both sides of the comparison were exercised: some watches fired
+        // mid-run, others are still live.
+        assert!(reference.iter().any(|w| w.fired_at.is_some()));
+        assert!(reference.iter().any(|w| w.fired_at.is_none()));
+        // One write over each whole window fires everything left.
+        for (node, &base) in lo.iter().enumerate() {
+            write(&mut tb, &mut reference, node, base, SPAN);
+        }
+        for (id, r) in ids.iter().zip(&reference) {
+            assert!(r.fired_at.is_some());
+            assert_eq!(tb.watches[id.0].fired_at, r.fired_at, "watch {id:?}");
+        }
+        assert!(tb.live_watches.iter().all(Vec::is_empty));
     }
 }
