@@ -21,10 +21,11 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use bytes::Bytes;
-use strom_bench::micro::{bb, bench};
+use strom_bench::micro::{bb, bench, Measurement};
 use strom_kernels::topk::{reference_topk, TopKKernel};
 use strom_kernels::traversal::Predicate;
 use strom_sim::{EventQueue, ReferenceEventQueue, SimRng};
+use strom_telemetry::json::Value;
 use strom_telemetry::{TraceEvent, TraceSink};
 use strom_wire::bth::Reth;
 use strom_wire::icrc;
@@ -341,69 +342,46 @@ fn main() {
         spd(2),
     );
 
-    let fmt_eps = |v: &[f64]| {
-        v.iter()
-            .map(|e| format!("{e:.0}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let sim_depths_json = depths
-        .iter()
-        .map(|d| d.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let sim_wheel_json = fmt_eps(&sim_wheel_eps);
-    let sim_heap_json = fmt_eps(&sim_heap_eps);
-
     let crc = CRC_BYTES as u64;
-    let json = format!(
-        r#"{{
-  "bench": "wire_micro",
-  "mode": "{mode}",
-  "crc_input_bytes": {crc},
-  "icrc_reference_gib_s": {:.4},
-  "icrc_slice16_gib_s": {:.4},
-  "icrc_speedup": {icrc_speedup:.3},
-  "crc64_reference_gib_s": {:.4},
-  "crc64_slice16_gib_s": {:.4},
-  "crc64_speedup": {crc64_speedup:.3},
-  "simd_backend": "{simd_backend}",
-  "kernel_filter_gibps": {k_filter_g:.4},
-  "kernel_filter_scalar_gibps": {k_filter_sg:.4},
-  "kernel_topk_gibps": {k_topk_g:.4},
-  "kernel_topk_scalar_gibps": {k_topk_sg:.4},
-  "kernel_scan_gibps": {k_scan_g:.4},
-  "kernel_scan_scalar_gibps": {k_scan_sg:.4},
-  "kernel_max_speedup": {kernel_max_speedup:.3},
-  "encode_into_gib_s": {:.4},
-  "parse_gib_s": {:.4},
-  "trace_emit_disabled_ns": {:.2},
-  "trace_emit_enabled_ns": {:.2},
-  "sim_depths": [{sim_depths_json}],
-  "sim_wheel_events_per_sec": [{sim_wheel_json}],
-  "sim_heap_events_per_sec": [{sim_heap_json}],
-  "sim_events_per_sec_wheel": {sim_wheel:.0},
-  "sim_events_per_sec_heap": {sim_heap:.0},
-  "sim_engine_speedup": {sim_speedup:.3}
-}}
-"#,
-        icrc_ref.gib_per_sec(crc),
-        icrc_s8.gib_per_sec(crc),
-        crc64_ref.gib_per_sec(crc),
-        crc64_s8.gib_per_sec(crc),
-        encode.gib_per_sec(frame_bytes),
-        parse.gib_per_sec(frame_bytes),
-        trace_off.ns_per_iter,
-        trace_on.ns_per_iter,
-        mode = if quick { "quick" } else { "full" },
-        k_filter_g = k_filter.gib_per_sec(val_bytes),
-        k_filter_sg = k_filter_s.gib_per_sec(val_bytes),
-        k_topk_g = k_topk.gib_per_sec(val_bytes),
-        k_topk_sg = k_topk_s.gib_per_sec(val_bytes),
-        k_scan_g = k_scan.gib_per_sec(crc),
-        k_scan_sg = k_scan_s.gib_per_sec(crc),
-    );
+    let gib = |m: &Measurement, bytes: u64| Value::from(m.gib_per_sec(bytes));
+    // Event rates are whole events per second.
+    let eps = |e: &f64| Value::from(e.round());
+    let json = Value::obj([
+        ("bench", "wire_micro".into()),
+        ("mode", if quick { "quick" } else { "full" }.into()),
+        ("crc_input_bytes", crc.into()),
+        ("icrc_reference_gib_s", gib(&icrc_ref, crc)),
+        ("icrc_slice16_gib_s", gib(&icrc_s8, crc)),
+        ("icrc_speedup", icrc_speedup.into()),
+        ("crc64_reference_gib_s", gib(&crc64_ref, crc)),
+        ("crc64_slice16_gib_s", gib(&crc64_s8, crc)),
+        ("crc64_speedup", crc64_speedup.into()),
+        ("simd_backend", simd_backend.into()),
+        ("kernel_filter_gibps", gib(&k_filter, val_bytes)),
+        ("kernel_filter_scalar_gibps", gib(&k_filter_s, val_bytes)),
+        ("kernel_topk_gibps", gib(&k_topk, val_bytes)),
+        ("kernel_topk_scalar_gibps", gib(&k_topk_s, val_bytes)),
+        ("kernel_scan_gibps", gib(&k_scan, crc)),
+        ("kernel_scan_scalar_gibps", gib(&k_scan_s, crc)),
+        ("kernel_max_speedup", kernel_max_speedup.into()),
+        ("encode_into_gib_s", gib(&encode, frame_bytes)),
+        ("parse_gib_s", gib(&parse, frame_bytes)),
+        ("trace_emit_disabled_ns", trace_off.ns_per_iter.into()),
+        ("trace_emit_enabled_ns", trace_on.ns_per_iter.into()),
+        ("sim_depths", depths.iter().map(|&d| d.into()).collect()),
+        (
+            "sim_wheel_events_per_sec",
+            sim_wheel_eps.iter().map(eps).collect(),
+        ),
+        (
+            "sim_heap_events_per_sec",
+            sim_heap_eps.iter().map(eps).collect(),
+        ),
+        ("sim_events_per_sec_wheel", eps(&sim_wheel)),
+        ("sim_events_per_sec_heap", eps(&sim_heap)),
+        ("sim_engine_speedup", sim_speedup.into()),
+    ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wire.json");
-    std::fs::write(path, &json).expect("write BENCH_wire.json");
+    std::fs::write(path, format!("{json}\n")).expect("write BENCH_wire.json");
     println!("wrote {path}");
 }

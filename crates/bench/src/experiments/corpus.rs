@@ -84,7 +84,7 @@ pub fn run(scale: Scale) -> String {
         Scale::Full => CorpusScale::Full,
     };
     let report = run_corpus(corpus_scale);
-    std::fs::write(REPORT_PATH, report.to_json()).expect("write CORPUS.json");
+    std::fs::write(REPORT_PATH, format!("{}\n", report.to_value())).expect("write CORPUS.json");
     let mut out = render(&report);
     if std::env::var_os("STROM_BLESS").is_some() {
         let path = report.bless().expect("write corpus goldens");

@@ -19,7 +19,7 @@
 //! (schema `strom-corpus-v1`); the `figures corpus` entry point writes
 //! it to `CORPUS.json` and fails loudly on any fingerprint drift, gate
 //! violation, or failed cross-platform check. Specs round-trip through
-//! that JSON ([`ScenarioSpec::to_json`] / [`ScenarioSpec::from_json`]),
+//! that JSON ([`ScenarioSpec::to_value`] / [`ScenarioSpec::from_json`]),
 //! so a failing case can be re-run from the report alone.
 
 use std::collections::BTreeMap;
@@ -29,6 +29,7 @@ use std::path::{Path, PathBuf};
 use strom_sim::time::{MICROS, NANOS};
 use strom_sim::EcnConfig;
 use strom_telemetry::fnv::{fnv1a_u64, FNV_OFFSET};
+use strom_telemetry::json::{self, Value};
 
 use crate::chaos::{run_chaos, ChaosSpec};
 use crate::cluster_chain::{
@@ -39,10 +40,6 @@ use crate::cluster_shuffle::{run_shuffle, ShuffleSpec};
 use crate::config::Platform;
 use crate::fault::LinkFaultModel;
 use crate::kv_serve::{run_kv_serve, KvSpec};
-
-mod json;
-
-pub use json::Value as JsonValue;
 
 /// Which chained kernel pipeline a [`Workload::KernelChain`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,6 +188,13 @@ impl std::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+impl From<String> for SpecError {
+    /// A JSON reader error (syntax, or a missing or mistyped field).
+    fn from(why: String) -> Self {
+        SpecError::Malformed(why)
+    }
+}
 
 /// One scenario of the corpus: a name, a platform, a seed, and a
 /// declarative workload. Everything a run observes is a deterministic
@@ -520,73 +524,67 @@ impl ScenarioSpec {
         }
     }
 
-    /// Serializes the spec to one JSON object (seeds as hex strings —
-    /// u64 does not survive a float round-trip).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"name\":{},\"platform\":\"{}\",\"seed\":\"{:#x}\",\"workload\":{{\"family\":\"{}\"",
-            json::escape(&self.name),
-            self.platform,
-            self.seed,
-            self.workload.family()
-        );
+    /// The spec as one JSON object (seed as a hex string — u64 does not
+    /// survive the reader's f64 numbers).
+    pub fn to_value(&self) -> Value {
+        let mut workload = vec![("family", self.workload.family().into())];
         match self.workload {
-            Workload::ChaosSoak { ops } => {
-                let _ = write!(s, ",\"ops\":{ops}");
-            }
+            Workload::ChaosSoak { ops } => workload.push(("ops", ops.into())),
             Workload::Shuffle {
                 nodes,
                 values_per_node,
                 lossy,
                 cc,
                 ecn,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"nodes\":{nodes},\"values_per_node\":{values_per_node},\
-                     \"lossy\":{lossy},\"cc\":{cc},\"ecn\":{ecn}"
-                );
-            }
+            } => workload.extend([
+                ("nodes", nodes.into()),
+                ("values_per_node", values_per_node.into()),
+                ("lossy", lossy.into()),
+                ("cc", cc.into()),
+                ("ecn", ecn.into()),
+            ]),
             Workload::Incast {
                 senders,
                 window,
                 reads,
                 cc,
                 ecn,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"senders\":{senders},\"window\":{window},\"reads\":{reads},\
-                     \"cc\":{cc},\"ecn\":{ecn}"
-                );
-            }
+            } => workload.extend([
+                ("senders", senders.into()),
+                ("window", window.into()),
+                ("reads", reads.into()),
+                ("cc", cc.into()),
+                ("ecn", ecn.into()),
+            ]),
             Workload::KvServe {
                 servers,
                 clients,
                 mean_gap_ns,
                 requests,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"servers\":{servers},\"clients\":{clients},\
-                     \"mean_gap_ns\":{mean_gap_ns},\"requests\":{requests}"
-                );
-            }
+            } => workload.extend([
+                ("servers", servers.into()),
+                ("clients", clients.into()),
+                ("mean_gap_ns", mean_gap_ns.into()),
+                ("requests", requests.into()),
+            ]),
             Workload::KernelChain { chain, tuples } => {
-                let _ = write!(s, ",\"chain\":\"{}\",\"tuples\":{tuples}", chain.name());
+                workload.extend([("chain", chain.name().into()), ("tuples", tuples.into())])
             }
         }
-        s.push_str("}}");
-        s
+        Value::obj([
+            ("name", self.name.as_str().into()),
+            ("platform", self.platform.name().into()),
+            ("seed", format!("{:#x}", self.seed).into()),
+            ("workload", Value::obj(workload)),
+        ])
     }
 
     /// Parses a spec back from JSON and validates it. The inverse of
-    /// [`ScenarioSpec::to_json`]: any spec that validates round-trips
-    /// exactly.
+    /// [`ScenarioSpec::to_value`]: any spec that validates round-trips
+    /// exactly. A document nested deeper than [`json::MAX_DEPTH`] is
+    /// [`SpecError::Malformed`].
     pub fn from_json(text: &str) -> Result<ScenarioSpec, SpecError> {
-        let v = json::parse(text).map_err(SpecError::Malformed)?;
+        let v = json::parse(text)?;
         let spec = Self::from_value(&v)?;
         spec.validate()?;
         Ok(spec)
@@ -594,7 +592,7 @@ impl ScenarioSpec {
 
     /// Builds a spec from an already-parsed JSON value (the report
     /// embeds spec objects inside case objects).
-    pub fn from_value(v: &json::Value) -> Result<ScenarioSpec, SpecError> {
+    pub fn from_value(v: &Value) -> Result<ScenarioSpec, SpecError> {
         let name = v.str_field("name")?.to_string();
         let platform_name = v.str_field("platform")?;
         let platform = Platform::from_name(platform_name)
@@ -611,31 +609,31 @@ impl ScenarioSpec {
                 ops: w.u64_field("ops")?,
             },
             "shuffle" => Workload::Shuffle {
-                nodes: w.usize_field("nodes")?,
-                values_per_node: w.usize_field("values_per_node")?,
+                nodes: w.u64_field("nodes")? as usize,
+                values_per_node: w.u64_field("values_per_node")? as usize,
                 lossy: w.bool_field("lossy")?,
                 cc: w.bool_field("cc")?,
                 ecn: w.bool_field("ecn")?,
             },
             "incast" => Workload::Incast {
-                senders: w.usize_field("senders")?,
-                window: w.usize_field("window")?,
+                senders: w.u64_field("senders")? as usize,
+                window: w.u64_field("window")? as usize,
                 reads: w.bool_field("reads")?,
                 cc: w.bool_field("cc")?,
                 ecn: w.bool_field("ecn")?,
             },
             "kv-serve" => Workload::KvServe {
-                servers: w.usize_field("servers")?,
-                clients: w.usize_field("clients")?,
+                servers: w.u64_field("servers")? as usize,
+                clients: w.u64_field("clients")? as usize,
                 mean_gap_ns: w.u64_field("mean_gap_ns")?,
-                requests: w.usize_field("requests")?,
+                requests: w.u64_field("requests")? as usize,
             },
             "kernel-chain" => {
                 let chain_name = w.str_field("chain")?;
                 Workload::KernelChain {
                     chain: ChainKind::from_name(chain_name)
                         .ok_or_else(|| SpecError::UnknownChain(chain_name.to_string()))?,
-                    tuples: w.usize_field("tuples")?,
+                    tuples: w.u64_field("tuples")? as usize,
                 }
             }
             other => return Err(SpecError::UnknownScenario(other.to_string())),
@@ -863,84 +861,50 @@ impl CorpusReport {
         self.failures().is_empty()
     }
 
-    /// Renders the report as one `strom-corpus-v1` JSON document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n  \"schema\": \"strom-corpus-v1\",\n  \"scale\": \"{}\",\n  \"cases\": [",
-            self.scale.name()
-        );
-        for (i, case) in self.cases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\n    {{\"spec\": {}, \"seeds\": [", case.spec.to_json());
-            for (j, seed) in case.seeds.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "\"{seed:#x}\"");
-            }
-            let _ = write!(s, "], \"fingerprint\": \"{:#018x}\", ", case.fingerprint);
-            match case.golden {
-                Some(g) => {
-                    let _ = write!(s, "\"golden\": \"{g:#018x}\", ");
-                }
-                None => s.push_str("\"golden\": null, "),
-            }
-            let _ = write!(
-                s,
-                "\"fingerprint_ok\": {}, \"perf\": {{",
-                case.fingerprint_ok()
-            );
-            for (j, (k, v)) in case.perf.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "\"{k}\": {}", json::number(*v));
-            }
-            s.push_str("}, \"gates\": [");
-            for (j, g) in case.gates.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(
-                    s,
-                    "{{\"key\": \"{}\", \"min\": {}, \"max\": {}, \"value\": {}, \"pass\": {}}}",
-                    g.gate.key,
-                    g.gate.min.map_or("null".into(), json::number),
-                    g.gate.max.map_or("null".into(), json::number),
-                    json::number(g.value),
-                    g.pass
-                );
-            }
-            let _ = write!(s, "], \"pass\": {}}}", case.pass());
-        }
-        s.push_str("\n  ],\n  \"cross_checks\": [");
-        for (i, c) in self.cross_checks.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"kind\": \"{}\", \"label\": {}, \"lhs\": {}, \"rhs\": {}, \"pass\": {}}}",
-                c.kind,
-                json::escape(&c.label),
-                json::number(c.lhs),
-                json::number(c.rhs),
-                c.pass
-            );
-        }
-        s.push_str("\n  ],\n  \"failures\": [");
-        for (i, f) in self.failures().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\n    {}", json::escape(f));
-        }
-        let _ = write!(s, "\n  ],\n  \"pass\": {}\n}}\n", self.pass());
-        s
+    /// The report as one `strom-corpus-v1` JSON document.
+    pub fn to_value(&self) -> Value {
+        let hex = |v: u64| Value::from(format!("{v:#018x}"));
+        let gate = |g: &GateResult| {
+            Value::obj([
+                ("key", g.gate.key.into()),
+                ("min", g.gate.min.map_or(Value::Null, Value::from)),
+                ("max", g.gate.max.map_or(Value::Null, Value::from)),
+                ("value", g.value.into()),
+                ("pass", g.pass.into()),
+            ])
+        };
+        let cases = self.cases.iter().map(|case| {
+            let seeds = case.seeds.iter().map(|s| format!("{s:#x}").into());
+            let perf = case.perf.iter().map(|&(k, v)| (k, v.into()));
+            Value::obj([
+                ("spec", case.spec.to_value()),
+                ("seeds", seeds.collect()),
+                ("fingerprint", hex(case.fingerprint)),
+                ("golden", case.golden.map_or(Value::Null, hex)),
+                ("fingerprint_ok", case.fingerprint_ok().into()),
+                ("perf", Value::obj(perf)),
+                ("gates", case.gates.iter().map(gate).collect()),
+                ("pass", case.pass().into()),
+            ])
+        });
+        let cross_checks = self.cross_checks.iter().map(|c| {
+            Value::obj([
+                ("kind", c.kind.into()),
+                ("label", c.label.as_str().into()),
+                ("lhs", c.lhs.into()),
+                ("rhs", c.rhs.into()),
+                ("pass", c.pass.into()),
+            ])
+        });
+        let failures = self.failures().into_iter().map(Value::from);
+        Value::obj([
+            ("schema", "strom-corpus-v1".into()),
+            ("scale", self.scale.name().into()),
+            ("cases", cases.collect()),
+            ("cross_checks", cross_checks.collect()),
+            ("failures", failures.collect()),
+            ("pass", self.pass().into()),
+        ])
     }
 
     /// Merges this run's fingerprints into the golden file: lines for
@@ -1349,7 +1313,7 @@ mod tests {
     #[test]
     fn spec_json_round_trips() {
         let spec = tiny_spec();
-        let back = ScenarioSpec::from_json(&spec.to_json()).expect("round trip");
+        let back = ScenarioSpec::from_json(&spec.to_value().to_string()).expect("round trip");
         assert_eq!(spec, back);
     }
 

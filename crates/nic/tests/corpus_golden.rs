@@ -14,6 +14,7 @@
 
 use strom_nic::corpus::{default_corpus, golden_fingerprints, run_corpus_cases, CorpusScale};
 use strom_nic::{CorpusCase, PerfGate, ScenarioSpec};
+use strom_telemetry::json::{self, Value};
 
 /// The light slice of the default corpus (still both platforms).
 fn light_cases() -> Vec<CorpusCase> {
@@ -127,10 +128,10 @@ fn report_json_specs_round_trip() {
         .filter(|c| c.spec.name == "kv-serve")
         .collect();
     let report = run_corpus_cases(&cases, CorpusScale::Quick);
-    let json = report.to_json();
-    let doc = strom_nic::corpus::JsonValue::parse(&json).expect("report JSON parses");
+    let json = report.to_value().to_string();
+    let doc = json::parse(&json).expect("report JSON parses");
     let parsed = match doc.get("cases") {
-        Some(strom_nic::corpus::JsonValue::Arr(items)) => items,
+        Some(Value::Arr(items)) => items,
         other => panic!("cases must be an array, got {other:?}"),
     };
     assert_eq!(parsed.len(), cases.len());
@@ -142,7 +143,7 @@ fn report_json_specs_round_trip() {
     }
     assert_eq!(
         doc.get("schema"),
-        Some(&strom_nic::corpus::JsonValue::Str("strom-corpus-v1".into()))
+        Some(&Value::Str("strom-corpus-v1".into()))
     );
 }
 

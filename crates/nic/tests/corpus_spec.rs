@@ -74,8 +74,8 @@ fn arbitrary_spec(rng: &mut SimRng) -> ScenarioSpec {
 }
 
 /// 300 random valid specs all validate and survive
-/// `to_json → from_json` bit-exactly (u64 seeds included — they travel
-/// as hex strings precisely because JSON numbers are f64).
+/// `to_value → to_string → from_json` bit-exactly (u64 seeds included —
+/// they travel as hex strings precisely because JSON numbers are f64).
 #[test]
 fn random_valid_specs_round_trip_through_json() {
     let mut rng = SimRng::seed(0x5EC5_FD21);
@@ -83,7 +83,7 @@ fn random_valid_specs_round_trip_through_json() {
         let spec = arbitrary_spec(&mut rng);
         spec.validate()
             .unwrap_or_else(|e| panic!("draw {i}: {spec:?} must validate: {e}"));
-        let json = spec.to_json();
+        let json = spec.to_value().to_string();
         let back = ScenarioSpec::from_json(&json)
             .unwrap_or_else(|e| panic!("draw {i}: {json} must parse: {e}"));
         assert_eq!(spec, back, "draw {i}: round trip changed the spec");
@@ -155,6 +155,11 @@ fn inconsistent_and_misshapen_specs_are_rejected() {
             "{doc} must be Malformed"
         );
     }
+    // Nesting past the reader's depth cap, not a stack overflow.
+    assert!(matches!(
+        ScenarioSpec::from_json(&"[".repeat(1_000_000)),
+        Err(SpecError::Malformed(_))
+    ));
 }
 
 /// Small random specs re-run digest-identically — the determinism

@@ -5,9 +5,9 @@
 //! clock, a deterministic event queue (a hierarchical timer wheel with an
 //! overflow heap, differential-tested against a reference binary heap),
 //! bandwidth/latency primitives that
-//! model serialization over links and buses, bounded FIFOs mirroring the
-//! HLS `stream<>` objects, and latency statistics matching the paper's
-//! reporting style (median with 1st/99th-percentile whiskers).
+//! model serialization over links and buses, and latency statistics
+//! matching the paper's reporting style (median with 1st/99th-percentile
+//! whiskers).
 //!
 //! Everything in this crate is deterministic: two runs with the same seed
 //! produce identical event orders and identical statistics, which the
@@ -15,7 +15,6 @@
 
 pub mod arrivals;
 pub mod event;
-pub mod fifo;
 pub mod parallel;
 pub mod rate;
 pub mod report;
@@ -27,7 +26,6 @@ pub mod wheel;
 
 pub use arrivals::{ArrivalGen, ArrivalProcess, ZipfSampler};
 pub use event::{EventQueue, ReferenceEventQueue, Scheduled};
-pub use fifo::Fifo;
 pub use parallel::{default_workers, parallel_map};
 pub use rate::{Bandwidth, LinkSerializer, Pacer};
 pub use rng::SimRng;

@@ -18,6 +18,7 @@
 //!   registers, so a counter cannot silently drift out of `status()`.
 //! - [`TelemetryReport`] — machine-readable JSON export of all of the
 //!   above, written next to the text tables by the bench binaries.
+//! - [`json`] — the workspace's one JSON value type, reader and writer.
 //! - [`fnv`] — the byte-wise FNV-1a fold every run fingerprint uses.
 //!
 //! Determinism: nothing here draws randomness or reads wall-clock time.
@@ -26,6 +27,7 @@
 
 pub mod counters;
 pub mod fnv;
+pub mod json;
 pub mod metrics;
 pub mod report;
 pub mod trace;
@@ -34,7 +36,7 @@ pub use counters::WireCounters;
 pub use metrics::{
     jain_index, Counter, Gauge, Histogram, HistogramHandle, MetricsRegistry, MetricsSnapshot,
 };
-pub use report::{TelemetryReport, TraceStats};
+pub use report::TelemetryReport;
 pub use trace::{DropReason, QpState, TraceEvent, TraceRecord, TraceSink};
 
 /// Simulated time in picoseconds — the same unit as `strom_sim::Time`,

@@ -1,26 +1,13 @@
 //! Machine-readable JSON export of a run's telemetry.
 //!
-//! The container this workspace builds in has no crates.io access, so the
-//! JSON is hand-rolled: integers, doubles, escaped strings, and objects
-//! with keys in insertion order (callers insert sorted names, so output
-//! is deterministic). The schema is versioned via the top-level
-//! `"schema"` field and validated by the CI telemetry smoke step.
+//! A report is built as a [`crate::json::Value`], with object keys in
+//! insertion order (callers insert sorted names, so output is
+//! deterministic). The schema is versioned via the top-level `"schema"`
+//! field and validated by the CI telemetry smoke step.
 
+use crate::json::Value;
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::trace::TraceSink;
-
-/// Summary of a trace sink's state for export.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceStats {
-    /// Total events emitted.
-    pub emitted: u64,
-    /// Events still retained in the ring.
-    pub retained: u64,
-    /// Events the bounded ring overwrote.
-    pub overwritten: u64,
-    /// FNV-1a fingerprint of the full emission stream.
-    pub fingerprint: u64,
-}
 
 /// A run's exported telemetry: counters, gauges, histograms with
 /// percentiles, and optional trace statistics.
@@ -32,7 +19,10 @@ pub struct TraceStats {
 /// let reg = MetricsRegistry::default();
 /// reg.counter("ops").add(3);
 /// reg.histogram("lat_ps").record(1500);
-/// let json = TelemetryReport::new("example").with_registry(&reg).to_json();
+/// let json = TelemetryReport::new("example")
+///     .with_registry(&reg)
+///     .to_value()
+///     .to_string();
 /// assert!(json.contains("\"schema\": \"strom-telemetry-v1\""));
 /// assert!(json.contains("\"ops\": 3"));
 /// ```
@@ -42,48 +32,29 @@ pub struct TelemetryReport {
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, u64)>,
     histograms: Vec<(String, Histogram)>,
-    trace: Option<TraceStats>,
+    trace: Option<Value>,
 }
 
-/// Appends `s` as a JSON string literal.
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_histogram(out: &mut String, h: &Histogram) {
-    let q = |p: f64| h.quantile(p).unwrap_or(0);
-    out.push_str(&format!(
-        "{{\"count\": {}, \"min\": {}, \"max\": {}, \"sum\": {}, \"mean\": {:.3}, \
-         \"p50\": {}, \"p90\": {}, \"p99\": {}, \"p999\": {}, \"buckets\": [",
-        h.count(),
-        h.min(),
-        h.max(),
-        h.sum(),
-        h.mean(),
-        q(0.50),
-        q(0.90),
-        q(0.99),
-        q(0.999),
-    ));
-    for (i, (lo, count)) in h.nonzero_buckets().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("[{lo}, {count}]"));
-    }
-    out.push_str("]}");
+fn histogram_value(h: &Histogram) -> Value {
+    let q = |p: f64| Value::U64(h.quantile(p).unwrap_or(0));
+    Value::obj([
+        ("count", h.count().into()),
+        ("min", h.min().into()),
+        ("max", h.max().into()),
+        ("sum", h.sum().into()),
+        ("mean", h.mean().into()),
+        ("p50", q(0.50)),
+        ("p90", q(0.90)),
+        ("p99", q(0.99)),
+        ("p999", q(0.999)),
+        (
+            "buckets",
+            h.nonzero_buckets()
+                .into_iter()
+                .map(|(lo, count)| Value::Arr(vec![lo.into(), count.into()]))
+                .collect(),
+        ),
+    ])
 }
 
 impl TelemetryReport {
@@ -104,72 +75,40 @@ impl TelemetryReport {
         self
     }
 
-    /// Adds one named counter value.
-    pub fn with_counter(mut self, name: &str, value: u64) -> Self {
-        self.counters.push((name.to_string(), value));
-        self
-    }
-
-    /// Adds one named histogram.
-    pub fn with_histogram(mut self, name: &str, h: Histogram) -> Self {
-        self.histograms.push((name.to_string(), h));
-        self
-    }
-
     /// Records the trace sink's summary statistics.
     pub fn with_trace(mut self, sink: &TraceSink) -> Self {
-        self.trace = Some(TraceStats {
-            emitted: sink.emitted(),
-            retained: sink.records().len() as u64,
-            overwritten: sink.overwritten(),
-            fingerprint: sink.fingerprint(),
-        });
+        self.trace = Some(Value::obj([
+            ("emitted", sink.emitted().into()),
+            ("retained", sink.records().len().into()),
+            ("overwritten", sink.overwritten().into()),
+            (
+                "fingerprint",
+                format!("{:#018x}", sink.fingerprint()).into(),
+            ),
+        ]));
         self
     }
 
-    /// Serializes the report as a self-contained JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"schema\": \"strom-telemetry-v1\",\n  \"source\": ");
-        push_json_string(&mut out, &self.source);
-        for (section, entries) in [("counters", &self.counters), ("gauges", &self.gauges)] {
-            out.push_str(&format!(",\n  \"{section}\": {{"));
-            for (i, (name, value)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n    ");
-                push_json_string(&mut out, name);
-                out.push_str(&format!(": {value}"));
-            }
-            if !entries.is_empty() {
-                out.push_str("\n  ");
-            }
-            out.push('}');
-        }
-        out.push_str(",\n  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_string(&mut out, name);
-            out.push_str(": ");
-            push_histogram(&mut out, h);
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push('}');
-        if let Some(t) = &self.trace {
-            out.push_str(&format!(
-                ",\n  \"trace\": {{\"emitted\": {}, \"retained\": {}, \"overwritten\": {}, \
-                 \"fingerprint\": \"{:#018x}\"}}",
-                t.emitted, t.retained, t.overwritten, t.fingerprint
-            ));
-        }
-        out.push_str("\n}\n");
-        out
+    /// The report as one `strom-telemetry-v1` JSON object.
+    pub fn to_value(&self) -> Value {
+        let named = |entries: &[(String, u64)]| {
+            Value::obj(entries.iter().map(|(k, v)| (k.as_str(), Value::U64(*v))))
+        };
+        let histograms = self
+            .histograms
+            .iter()
+            .map(|(k, h)| (k.as_str(), histogram_value(h)));
+        let doc = [
+            ("schema", "strom-telemetry-v1".into()),
+            ("source", self.source.as_str().into()),
+            ("counters", named(&self.counters)),
+            ("gauges", named(&self.gauges)),
+            ("histograms", Value::obj(histograms)),
+        ];
+        Value::obj(
+            doc.into_iter()
+                .chain(self.trace.clone().map(|t| ("trace", t))),
+        )
     }
 }
 
@@ -189,7 +128,8 @@ mod tests {
         let json = TelemetryReport::new("unit \"test\"")
             .with_registry(&reg)
             .with_trace(&sink)
-            .to_json();
+            .to_value()
+            .to_string();
         assert!(json.contains("\"schema\": \"strom-telemetry-v1\""));
         assert!(json.contains("\"source\": \"unit \\\"test\\\"\""));
         assert!(json.contains("\"sim.events\": 42"));
@@ -200,16 +140,9 @@ mod tests {
 
     #[test]
     fn empty_report_is_valid_shape() {
-        let json = TelemetryReport::new("empty").to_json();
+        let json = TelemetryReport::new("empty").to_value().to_string();
         assert!(json.contains("\"counters\": {}"));
         assert!(json.contains("\"histograms\": {}"));
         assert!(!json.contains("\"trace\""));
-    }
-
-    #[test]
-    fn string_escaping_covers_control_characters() {
-        let mut s = String::new();
-        push_json_string(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }
