@@ -81,16 +81,19 @@ fn truncation_is_rejected() {
     }
 }
 
-/// The slice-by-16 ICRC equals the byte-at-a-time reference on random
-/// lengths, contents, and alignments — including empty, 1-byte, and
-/// larger-than-MTU inputs, and unaligned starting offsets (the sliced loop
-/// reads multi-byte chunks, so every offset modulo the block must agree).
+/// The ICRC equals the byte-at-a-time reference on random lengths,
+/// contents, and alignments — including empty, 1-byte, and
+/// larger-than-MTU inputs, the edges of the 16-byte table step and of the
+/// 64-byte fold, and unaligned starting offsets (both fast paths read
+/// multi-byte blocks, so every offset modulo the block must agree).
 #[test]
-fn icrc_slice16_matches_reference() {
+fn icrc_matches_reference() {
     let mut rng = SimRng::seed(0xc32c);
     let mut buf = vec![0u8; 16384];
     rng.fill_bytes(&mut buf);
-    for len in [0usize, 1, 7, 8, 9, 4096, 9001, 16384] {
+    for len in [
+        0usize, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 4096, 9001, 16384,
+    ] {
         assert_eq!(
             icrc::icrc(&buf[..len]),
             icrc::icrc_reference(&buf[..len]),
@@ -106,6 +109,23 @@ fn icrc_slice16_matches_reference() {
             icrc::icrc_reference(data),
             "start = {start}, len = {len}"
         );
+    }
+}
+
+/// CRC-32 detects every single-bit error, so flipping any one bit of a
+/// random 1,500-byte body must change the ICRC. This needs no reference:
+/// a fold that dropped or double-counted a block would leave some flips
+/// unseen.
+#[test]
+fn icrc_detects_every_single_bit_flip() {
+    let mut rng = SimRng::seed(0xf11b);
+    let mut body = vec![0u8; 1500];
+    rng.fill_bytes(&mut body);
+    let clean = icrc::icrc(&body);
+    for bit in 0..body.len() * 8 {
+        body[bit / 8] ^= 1 << (bit % 8);
+        assert_ne!(icrc::icrc(&body), clean, "flip of bit {bit} went unseen");
+        body[bit / 8] ^= 1 << (bit % 8);
     }
 }
 
